@@ -191,8 +191,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.resolution < 2:
         return _fail(1, "resolution must be at least 2")
-    if args.window > args.N // 2:
-        return _fail(1, "window must not exceed N/2")
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

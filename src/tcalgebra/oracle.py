@@ -9,6 +9,8 @@ essential-spectrum claims show up as eigenvalue fill of the symmetrized
 compressions.
 """
 
+import operator
+
 import numpy as np
 
 from .moebius import MoebiusMap
@@ -56,20 +58,21 @@ def taylor_coeffs(m: MoebiusMap, n: int) -> np.ndarray:
 def composition_matrix(m: MoebiusMap, n: int) -> np.ndarray:
     """n x n compression of f -> f(m); column j holds the coefficients of m^j.
 
-    Powers are built by repeated series multiplication at working length
-    2n so the kept coefficients are exact through degree n-1.
+    Powers are built by repeated series multiplication truncated to n
+    coefficients: coefficient k of a product depends only on coefficients
+    0..k of its factors, so the kept coefficients are exact through
+    degree n-1.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    work = 2 * n
-    series = taylor_coeffs(m, work)
+    series = taylor_coeffs(m, n)
     out = np.zeros((n, n), dtype=complex)
-    col = np.zeros(work, dtype=complex)
+    col = np.zeros(n, dtype=complex)
     col[0] = 1.0
-    out[:, 0] = col[:n]
+    out[:, 0] = col
     for j in range(1, n):
-        col = np.convolve(col, series)[:work]
-        out[:, j] = col[:n]
+        col = np.convolve(col, series)[:n]
+        out[:, j] = col
     return out
 
 
@@ -95,35 +98,14 @@ def truncate(e: OperatorExpression | str, phi: MoebiusMap, n: int) -> np.ndarray
     if isinstance(e, str):
         e = rewriter.parse(e)
     sigma = phi.krein_adjoint
-    return _truncate(e, phi, sigma, n)
-
-
-def _truncate(e, phi: MoebiusMap, sigma: MoebiusMap, n: int) -> np.ndarray:
-    if isinstance(e, rewriter.Identity):
-        return np.eye(n, dtype=complex)
-    if isinstance(e, rewriter.Toeplitz):
-        return toeplitz_matrix(e.symbol, n)
-    if isinstance(e, rewriter.CPhi):
-        return composition_matrix(phi, n)
-    if isinstance(e, rewriter.CSigma):
-        return composition_matrix(sigma, n)
-    if isinstance(e, rewriter.CompactTerm):
-        return np.zeros((n, n), dtype=complex)
-    if isinstance(e, rewriter.Adjoint):
-        return _truncate(e.operand, phi, sigma, n).conj().T
-    if isinstance(e, rewriter.Scalar):
-        return e.value * _truncate(e.operand, phi, sigma, n)
-    if isinstance(e, rewriter.Sum):
-        out = np.zeros((n, n), dtype=complex)
-        for term in e.terms:
-            out += _truncate(term, phi, sigma, n)
-        return out
-    if isinstance(e, rewriter.Product):
-        out = _truncate(e.factors[0], phi, sigma, n)
-        for factor in e.factors[1:]:
-            out = out @ _truncate(factor, phi, sigma, n)
-        return out
-    raise TypeError(f"not an operator expression: {e!r}")
+    leaves = {
+        rewriter.Identity: lambda _: np.eye(n, dtype=complex),
+        rewriter.Toeplitz: lambda atom: toeplitz_matrix(atom.symbol, n),
+        rewriter.CPhi: lambda _: composition_matrix(phi, n),
+        rewriter.CSigma: lambda _: composition_matrix(sigma, n),
+        rewriter.CompactTerm: lambda _: np.zeros((n, n), dtype=complex),
+    }
+    return rewriter.fold(e, leaves, operator.matmul, lambda mat: mat.conj().T)
 
 
 def vanishing_sequence(

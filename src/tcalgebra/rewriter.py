@@ -22,8 +22,10 @@ unique canonical quintuple (w; f, g, h, k); to_composition_sum renders
 that quintuple back as a sum of Toeplitz and composition operators.
 """
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .moebius import ContactData
 from .rings import HalfPolynomial, TrigPolynomial
@@ -300,6 +302,29 @@ def parse(text: str) -> OperatorExpression:
 # normalization
 
 
+def fold(e: OperatorExpression, leaves: dict, mul, adjoint):
+    """Evaluate an expression tree bottom-up.
+
+    ``leaves`` maps each atom type (Identity, Toeplitz, CPhi, CSigma,
+    CompactTerm) to a function of the atom that gives its value.  Sums
+    add with +, scalars multiply with *, products reduce with ``mul`` and
+    adjoint marks apply ``adjoint``; sums and products reduce from their
+    first operand.
+    """
+    if isinstance(e, Adjoint):
+        return adjoint(fold(e.operand, leaves, mul, adjoint))
+    if isinstance(e, Scalar):
+        return e.value * fold(e.operand, leaves, mul, adjoint)
+    if isinstance(e, Sum):
+        return reduce(operator.add, (fold(t, leaves, mul, adjoint) for t in e.terms))
+    if isinstance(e, Product):
+        return reduce(mul, (fold(f, leaves, mul, adjoint) for f in e.factors))
+    leaf = leaves.get(type(e))
+    if leaf is None:
+        raise TypeError(f"not an operator expression: {e!r}")
+    return leaf(e)
+
+
 def normalize(e: OperatorExpression, contact: ContactData) -> SymbolElement:
     """Canonical quintuple of the expression's coset, modulo compacts.
 
@@ -307,31 +332,14 @@ def normalize(e: OperatorExpression, contact: ContactData) -> SymbolElement:
     off-diagonal sqrt(t), C' its swap, S the same scaled by 1/s, and an
     explicit K summand is dropped.
     """
-    if isinstance(e, Identity):
-        return identity_element(contact)
-    if isinstance(e, Toeplitz):
-        return embed_toeplitz(e.symbol, contact)
-    if isinstance(e, CPhi):
-        return embed_cphi(contact)
-    if isinstance(e, CSigma):
-        return embed_csigma(contact)
-    if isinstance(e, CompactTerm):
-        return zero_element(contact)
-    if isinstance(e, Adjoint):
-        return normalize(e.operand, contact).adjoint()
-    if isinstance(e, Scalar):
-        return e.value * normalize(e.operand, contact)
-    if isinstance(e, Sum):
-        out = zero_element(contact)
-        for term in e.terms:
-            out = out + normalize(term, contact)
-        return out
-    if isinstance(e, Product):
-        out = identity_element(contact)
-        for factor in e.factors:
-            out = out * normalize(factor, contact)
-        return out
-    raise TypeError(f"not an operator expression: {e!r}")
+    leaves = {
+        Identity: lambda _: identity_element(contact),
+        Toeplitz: lambda atom: embed_toeplitz(atom.symbol, contact),
+        CPhi: lambda _: embed_cphi(contact),
+        CSigma: lambda _: embed_csigma(contact),
+        CompactTerm: lambda _: zero_element(contact),
+    }
+    return fold(e, leaves, operator.mul, lambda b: b.adjoint())
 
 
 # --------------------------------------------------------------------------

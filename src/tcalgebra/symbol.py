@@ -295,135 +295,58 @@ def operator_norm(mat: np.ndarray) -> float:
 # grids and pointwise data
 
 
-def _circle_grid(contact: ContactData, resolution: int) -> np.ndarray:
-    """Deterministic unimodular grid that contains zeta and eta exactly."""
-    theta = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    pts = np.concatenate([np.exp(1j * theta), [contact.zeta, contact.eta]])
-    order = np.argsort(np.angle(pts), kind="stable")
-    return pts[order]
+def _grids(b: SymbolElement, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic sweep grids of one resolution.
 
-
-def _interval_grid(s: float, resolution: int) -> np.ndarray:
-    return np.linspace(0.0, s, resolution)
-
-
-class _Tables:
-    """Pointwise values of a quintuple on the computation grids."""
-
-    __slots__ = ("circle", "circle_w", "wz", "we", "ts", "f", "g", "h", "k", "refinable", "element")
-
-    def __init__(self, circle, circle_w, wz, we, ts, f, g, h, k, refinable, element):
-        self.circle = circle
-        self.circle_w = circle_w
-        self.wz = wz
-        self.we = we
-        self.ts = ts
-        self.f = f
-        self.g = g
-        self.h = h
-        self.k = k
-        self.refinable = refinable
-        self.element = element
-
-
-@dataclass(frozen=True)
-class SampledElement:
-    """Value tables standing in for a quintuple with general continuous parts.
-
-    circle_values holds w on the uniform circle grid of matching length;
-    f, g, h, k hold values on the uniform grid over [0, s].  Only the
-    grid-sweep operations (essential_spectrum, essential_norm, is_fredholm)
-    accept this form; exact arithmetic needs the polynomial representation.
+    The unimodular grid contains zeta and eta exactly; the interval grid
+    covers [0, s] including both endpoints.
     """
-
-    circle_values: np.ndarray
-    w_zeta: complex
-    w_eta: complex
-    f: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    k: np.ndarray
-    s: float
-
-    @property
-    def resolution(self) -> int:
-        return len(self.f)
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    theta = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    pts = np.concatenate([np.exp(1j * theta), [b.contact.zeta, b.contact.eta]])
+    order = np.argsort(np.angle(pts), kind="stable")
+    return pts[order], np.linspace(0.0, b.s, resolution)
 
 
-def _tables(b, resolution: int) -> _Tables:
-    if isinstance(b, SymbolElement):
-        circle = _circle_grid(b.contact, resolution)
-        ts = _interval_grid(b.s, resolution)
-        return _Tables(
-            circle,
-            b.w(circle),
-            b.w(b.contact.zeta),
-            b.w(b.contact.eta),
-            ts,
-            b.f(ts),
-            b.g(ts),
-            b.h(ts),
-            b.k(ts),
-            True,
-            b,
-        )
-    if isinstance(b, SampledElement):
-        for name in ("g", "h", "k"):
-            if len(getattr(b, name)) != b.resolution:
-                raise ValueError("sampled tables must share one grid length")
-        if len(b.circle_values) != b.resolution:
-            raise ValueError("sampled circle table must match the grid length")
-        if resolution != b.resolution:
-            raise ValueError(
-                f"sampled element carries its own resolution {b.resolution}, got {resolution}"
-            )
-        theta = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-        return _Tables(
-            np.exp(1j * theta),
-            np.asarray(b.circle_values, dtype=complex),
-            complex(b.w_zeta),
-            complex(b.w_eta),
-            _interval_grid(b.s, resolution),
-            np.asarray(b.f, dtype=complex),
-            np.asarray(b.g, dtype=complex),
-            np.asarray(b.h, dtype=complex),
-            np.asarray(b.k, dtype=complex),
-            False,
-            b,
-        )
-    raise TypeError(f"expected SymbolElement or SampledElement, got {type(b)!r}")
+def _interval_values(b: SymbolElement, ts: np.ndarray) -> tuple:
+    """w(zeta), w(eta) and f, g, h, k at the points ts of [0, s].
+
+    They fill the interval matrices [[w(zeta) + g, h], [k, w(eta) + f]];
+    each formula below combines them in its own fixed order.
+    """
+    return b.w(b.contact.zeta), b.w(b.contact.eta), b.f(ts), b.g(ts), b.h(ts), b.k(ts)
 
 
-def _branch_eigenvalues(tab: _Tables) -> tuple[np.ndarray, np.ndarray]:
+def _branch_eigenvalues(b: SymbolElement, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the interval matrices: mean +- sqrt(disc)/2.
 
     Both square-root signs are returned so no branch choice can drop points.
     """
-    diag_sum = tab.f + tab.we + tab.g + tab.wz
-    diag_diff = tab.f + tab.we - tab.g - tab.wz
-    disc = diag_diff.astype(complex) ** 2 + 4 * tab.h * tab.k
+    wz, we, f, g, h, k = _interval_values(b, ts)
+    diag_sum = f + we + g + wz
+    diag_diff = f + we - g - wz
+    disc = diag_diff.astype(complex) ** 2 + 4 * h * k
     root = np.sqrt(disc)
     return (diag_sum + root) / 2.0, (diag_sum - root) / 2.0
 
 
-def spectrum_samples(b, resolution: int = 1000) -> list[tuple[complex, str]]:
+def spectrum_samples(b: SymbolElement, resolution: int = 1000) -> list[tuple[complex, str]]:
     """Essential-spectrum point cloud with provenance labels.
 
     Labels are "circle" for w values on the circle grid and "interval+" /
     "interval-" for the two eigenvalue branches over the [0, s] grid.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    tab = _tables(b, resolution)
-    plus, minus = _branch_eigenvalues(tab)
+    circle, ts = _grids(b, resolution)
+    plus, minus = _branch_eigenvalues(b, ts)
     rows: list[tuple[complex, str]] = []
-    rows.extend((complex(v), "circle") for v in tab.circle_w)
+    rows.extend((complex(v), "circle") for v in b.w(circle))
     rows.extend((complex(v), "interval+") for v in plus)
     rows.extend((complex(v), "interval-") for v in minus)
     return rows
 
 
-def essential_spectrum(b, resolution: int = 1000) -> np.ndarray:
+def essential_spectrum(b: SymbolElement, resolution: int = 1000) -> np.ndarray:
     """Point cloud filling the essential spectrum.
 
     The set is the union of the circle values of w with the eigenvalue
@@ -437,34 +360,31 @@ def essential_spectrum(b, resolution: int = 1000) -> np.ndarray:
 # sup / inf sweeps with local refinement
 
 
-def _interval_norms(b: SymbolElement, ts: np.ndarray) -> np.ndarray:
-    wz = b.w(b.contact.zeta)
-    we = b.w(b.contact.eta)
-    m11 = wz + b.g(ts)
-    m22 = we + b.f(ts)
-    m12 = b.h(ts)
-    m21 = b.k(ts)
-    return _norms_from_entries(m11, m12, m21, m22)
-
-
 def _norms_from_entries(m11, m12, m21, m22) -> np.ndarray:
-    frob2 = abs(m11) ** 2 + abs(m12) ** 2 + abs(m21) ** 2 + abs(m22) ** 2
-    det = np.abs(m11 * m22 - m12 * m21)
-    gap = np.sqrt(np.maximum(frob2**2 - 4 * det**2, 0.0))
-    return np.sqrt((frob2 + gap) / 2.0)
+    """Largest singular values of the 2x2 matrices [[m11, m12], [m21, m22]].
+
+    M*M = [[p, r], [conj(r), q]] has eigenvalues (p + q +- gap)/2 with
+    gap = sqrt((p - q)^2 + 4|r|^2).  Its error is a rounding of p + q, and
+    p + q + gap adds nonnegative terms, so the result stays accurate to
+    rounding when the two singular values are close.  The equivalent
+    gap^2 = ||M||_F^4 - 4|det M|^2 subtracts two nearly equal numbers
+    there and loses half the digits.
+    """
+    p = abs(m11) ** 2 + abs(m21) ** 2
+    q = abs(m12) ** 2 + abs(m22) ** 2
+    r = np.conj(m11) * m12 + np.conj(m21) * m22
+    gap = np.sqrt((p - q) ** 2 + 4 * abs(r) ** 2)
+    return np.sqrt((p + q + gap) / 2.0)
 
 
-def _dets_from_tables(tab: _Tables, ts=None) -> np.ndarray:
-    if ts is None:
-        m11 = tab.wz + tab.g
-        m22 = tab.we + tab.f
-        m12, m21 = tab.h, tab.k
-    else:
-        b = tab.element
-        m11 = tab.wz + b.g(ts)
-        m22 = tab.we + b.f(ts)
-        m12, m21 = b.h(ts), b.k(ts)
-    return np.abs(m11 * m22 - m12 * m21)
+def _interval_norms(b: SymbolElement, ts: np.ndarray) -> np.ndarray:
+    wz, we, f, g, h, k = _interval_values(b, ts)
+    return _norms_from_entries(wz + g, h, k, we + f)
+
+
+def _interval_dets(b: SymbolElement, ts: np.ndarray) -> np.ndarray:
+    wz, we, f, g, h, k = _interval_values(b, ts)
+    return np.abs((wz + g) * (we + f) - h * k)
 
 
 @dataclass(frozen=True)
@@ -501,31 +421,22 @@ def _refine(values_fn, x0: float, lo: float, hi: float, spacing: float, resoluti
     return best_v, best_x, float(spacing), dbound
 
 
-def essential_norm_report(b, resolution: int = 1000) -> NormReport:
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    tab = _tables(b, resolution)
+def essential_norm_report(b: SymbolElement, resolution: int = 1000) -> NormReport:
+    circle, ts = _grids(b, resolution)
 
-    circle_vals = np.abs(tab.circle_w)
+    circle_vals = np.abs(b.w(circle))
     ic = int(np.argmax(circle_vals))
     circle_best = float(circle_vals[ic])
-    circle_angle = float(np.angle(tab.circle[ic]) % (2 * np.pi))
+    circle_angle = float(np.angle(circle[ic]) % (2 * np.pi))
 
-    interval_vals = _norms_from_entries(tab.wz + tab.g, tab.h, tab.k, tab.we + tab.f)
+    interval_vals = _interval_norms(b, ts)
     it = int(np.argmax(interval_vals))
     interval_best = float(interval_vals[it])
-    interval_t = float(tab.ts[it])
+    interval_t = float(ts[it])
 
-    if not tab.refinable:
-        spacing = tab.ts[1] - tab.ts[0] if len(tab.ts) > 1 else 0.0
-        if circle_best >= interval_best:
-            return NormReport(circle_best, "circle", circle_angle, 2 * np.pi / resolution, 0.0)
-        return NormReport(interval_best, "interval", interval_t, float(spacing), 0.0)
-
-    elem: SymbolElement = tab.element
     circle_spacing = 2 * np.pi / resolution
     cv, ca, cs, cd = _refine(
-        lambda th: np.abs(elem.w(np.exp(1j * th))),
+        lambda th: np.abs(b.w(np.exp(1j * th))),
         circle_angle,
         circle_angle - circle_spacing,
         circle_angle + circle_spacing,
@@ -534,12 +445,12 @@ def essential_norm_report(b, resolution: int = 1000) -> NormReport:
     )
     circle_best = max(circle_best, cv)
 
-    t_spacing = tab.ts[1] - tab.ts[0]
+    t_spacing = ts[1] - ts[0]
     iv, ia, isp, idb = _refine(
-        lambda ts: _interval_norms(elem, ts),
+        lambda xs: _interval_norms(b, xs),
         interval_t,
         0.0,
-        elem.s,
+        b.s,
         float(t_spacing),
         resolution,
     )
@@ -550,46 +461,41 @@ def essential_norm_report(b, resolution: int = 1000) -> NormReport:
     return NormReport(interval_best, "interval", ia, isp, idb)
 
 
-def essential_norm(b, resolution: int = 1000) -> float:
+def essential_norm(b: SymbolElement, resolution: int = 1000) -> float:
     """Sup of the pointwise 2x2 operator norms over the symbol space."""
     return essential_norm_report(b, resolution).value
 
 
-def is_fredholm(b, resolution: int = 1000, tol: Tolerances = TOL) -> bool:
+def is_fredholm(b: SymbolElement, resolution: int = 1000, tol: Tolerances = TOL) -> bool:
     """Invertibility of the symbol: w stays away from 0 on the circle and
     the interval matrices stay away from singularity (0 outside the
     essential spectrum, up to the threshold)."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    tab = _tables(b, resolution)
+    circle, ts = _grids(b, resolution)
 
-    circle_min = float(np.min(np.abs(tab.circle_w)))
-    dets = _dets_from_tables(tab)
+    circle_vals = np.abs(b.w(circle))
+    ic = int(np.argmin(circle_vals))
+    circle_min = float(circle_vals[ic])
+    dets = _interval_dets(b, ts)
     idx = int(np.argmin(dets))
     det_min = float(dets[idx])
 
-    if tab.refinable:
-        elem: SymbolElement = tab.element
-        circle_vals = np.abs(tab.circle_w)
-        ic = int(np.argmin(circle_vals))
-        angle = float(np.angle(tab.circle[ic]) % (2 * np.pi))
-        spacing = 2 * np.pi / resolution
-        neg_min, _, _, _ = _refine(
-            lambda th: -np.abs(elem.w(np.exp(1j * th))),
-            angle,
-            angle - spacing,
-            angle + spacing,
-            spacing,
-            resolution,
-        )
-        circle_min = min(circle_min, -neg_min)
+    angle = float(np.angle(circle[ic]) % (2 * np.pi))
+    spacing = 2 * np.pi / resolution
+    neg_min, _, _, _ = _refine(
+        lambda th: -np.abs(b.w(np.exp(1j * th))),
+        angle,
+        angle - spacing,
+        angle + spacing,
+        spacing,
+        resolution,
+    )
+    circle_min = min(circle_min, -neg_min)
 
-        t0 = float(tab.ts[idx])
-        t_spacing = float(tab.ts[1] - tab.ts[0])
-        neg_min, _, _, _ = _refine(
-            lambda ts: -_dets_from_tables(tab, ts), t0, 0.0, elem.s, t_spacing, resolution
-        )
-        det_min = min(det_min, -neg_min)
+    t_spacing = float(ts[1] - ts[0])
+    neg_min, _, _, _ = _refine(
+        lambda xs: -_interval_dets(b, xs), float(ts[idx]), 0.0, b.s, t_spacing, resolution
+    )
+    det_min = min(det_min, -neg_min)
 
     return circle_min > tol.fredholm and det_min > tol.fredholm
 

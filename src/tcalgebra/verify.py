@@ -608,11 +608,19 @@ MANIFEST = {
 def run_claims(
     ids=None, n: int = 512, window: int = 64, resolution: int = 1000
 ) -> list[ClaimResult]:
-    """Run the battery (or a subset of criterion ids) and collect results."""
+    """Run the battery (or a subset of criterion ids) and collect results.
+
+    The sizes are checked before any claim runs: AC9 reads columns below
+    its window, which must stay within n/2 (the oracle's truncation-safe
+    half), and AC10 compresses at n//4, which must be at least 1.
+    """
+    selected = {cid: fn for cid, fn in MANIFEST.items() if ids is None or cid in ids}
+    if "AC9" in selected and window > n // 2:
+        raise ValueError(f"AC9: window must not exceed N/2 (window {window}, N {n})")
+    if "AC10" in selected and n < 4:
+        raise ValueError(f"AC10: N must be at least 4; its smallest size N//4 = {n // 4}")
     results: list[ClaimResult] = []
-    for cid, fn in MANIFEST.items():
-        if ids is not None and cid not in ids:
-            continue
+    for cid, fn in selected.items():
         if cid == "AC9":
             results.extend(fn(n=n, window=window))
         elif cid == "AC10":

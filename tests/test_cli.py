@@ -166,6 +166,24 @@ class TestVerify:
         assert main(["verify", "--N", "64", "--window", "64"]) == 1
         assert "window" in capsys.readouterr().err
 
+    def test_size_too_small_for_ac10(self, capsys):
+        assert main(["verify", "--N", "2", "--window", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any claim runs
+        assert "AC10" in captured.err and "N//4 = 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--N", "100"],
+    ["analyze", "--N", "256", "--window", "32"],
+    ["normalize", "--expr", "C", "--N", "100"],
+    ["spectrum", "--expr", "C", "--N", "100"],
+    ["norm", "--expr", "C", "--N", "100"],
+])
+def test_sizes_only_checked_by_verify(phi0_file, argv):
+    # --N and --window are accepted by every subcommand but used only by verify
+    assert main([argv[0], "--map", phi0_file, *argv[1:]]) == 0
+
 
 def test_missing_map_file(capsys):
     assert main(["analyze", "--map", "/nonexistent/map.json"]) == 1

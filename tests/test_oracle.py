@@ -50,6 +50,23 @@ def floor_commutator_fixed() -> float:
     return math.sqrt(2 * catalan / 4**64)
 
 
+def composition_matrix_2n(m: MoebiusMap, n: int) -> np.ndarray:
+    """Reference builder that keeps 2n series coefficients of every power.
+
+    The coefficients past n - 1 never reach the kept rows, so the builder
+    under test, which keeps n, must agree with it bit for bit.
+    """
+    series = taylor_coeffs(m, 2 * n)
+    out = np.zeros((n, n), dtype=complex)
+    col = np.zeros(2 * n, dtype=complex)
+    col[0] = 1.0
+    out[:, 0] = col[:n]
+    for j in range(1, n):
+        col = np.convolve(col, series)[: 2 * n]
+        out[:, j] = col[:n]
+    return out
+
+
 class TestTaylorCoeffs:
     def test_identity(self):
         assert np.array_equal(taylor_coeffs(identity_map(), 4), [0, 1, 0, 0])
@@ -74,6 +91,12 @@ class TestMatrices:
     def test_dilation_diagonal(self):
         m = composition_matrix(MoebiusMap(1, 0, 0, 2), 5)
         assert np.allclose(m, np.diag(0.5 ** np.arange(5)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 128])
+    def test_working_length_n_is_exact(self, phi0, sigma0, n):
+        # phi0 is affine; its Krein adjoint -z/(z+2) has a pole at -2
+        for m in (phi0, sigma0, MoebiusMap(1, 0.3j, 0.5 - 0.4j, 2)):
+            assert np.array_equal(composition_matrix(m, n), composition_matrix_2n(m, n))
 
     def test_identity_toeplitz(self):
         assert np.array_equal(toeplitz_matrix(TrigPolynomial.constant(1.0), 4), np.eye(4))

@@ -10,7 +10,6 @@ from tcalgebra import (
     LambdaPoint,
     MoebiusMap,
     NotCentralError,
-    SampledElement,
     SymbolElement,
     TRIPLE_POINT,
     TrigPolynomial,
@@ -29,6 +28,7 @@ from tcalgebra import (
     spectrum_samples,
     zero_element,
 )
+from tcalgebra.symbol import _norms_from_entries
 
 SQRT2 = math.sqrt(2.0)
 
@@ -246,6 +246,24 @@ class TestEssentialNorm:
         rhs = essential_norm(b, 800) ** 2
         assert abs(lhs - rhs) < 1e-6 * max(1.0, rhs)
 
+    def test_pointwise_norm_with_close_singular_values(self, rng):
+        # U diag(s, s(1 - eps)) V* with eps down to 1e-12: a closed form that
+        # subtracts 4|det|^2 from ||M||_F^4 loses half the digits here.
+        count = 4000
+
+        def unitaries():
+            z = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+            q, r = np.linalg.qr(z)
+            diag = np.diagonal(r, axis1=1, axis2=2)
+            return q * (diag / abs(diag))[:, None, :]
+
+        top = 10 ** rng.uniform(-2, 2, count)
+        sv = np.stack([top, top * (1 - 10 ** rng.uniform(-12, -4, count))], axis=1)
+        mats = unitaries() @ (sv[:, :, None] * np.eye(2)) @ unitaries().conj().transpose(0, 2, 1)
+        got = _norms_from_entries(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+        want = np.linalg.norm(mats, 2, axis=(1, 2))
+        assert np.max(abs(got - want) / want) <= 1e-14
+
 
 class TestFredholm:
     def test_identity_plus_cphi(self, contact0):
@@ -290,36 +308,6 @@ class TestCenter:
     def test_gelfand_requires_central(self, contact0):
         with pytest.raises(NotCentralError):
             gelfand_value(embed_cphi(contact0), TRIPLE_POINT)
-
-
-class TestSampledElement:
-    def test_matches_exact_on_example(self, contact0):
-        resolution = 400
-        exact = embed_cphi(contact0) + embed_cphi(contact0).adjoint()
-        ts = np.linspace(0.0, contact0.s, resolution)
-        zero = np.zeros(resolution, dtype=complex)
-        sampled = SampledElement(
-            circle_values=zero.copy(),
-            w_zeta=0.0,
-            w_eta=0.0,
-            f=zero.copy(),
-            g=zero.copy(),
-            h=np.sqrt(ts).astype(complex),
-            k=np.sqrt(ts).astype(complex),
-            s=contact0.s,
-        )
-        pts_exact = np.sort_complex(essential_spectrum(exact, resolution))
-        pts_sampled = np.sort_complex(essential_spectrum(sampled, resolution))
-        # exact grid carries two extra circle points (zeta and eta)
-        assert len(pts_exact) == len(pts_sampled) + 2
-        assert abs(essential_norm(sampled, resolution) - SQRT2) < 1e-12
-        assert not is_fredholm(sampled, resolution)
-
-    def test_resolution_must_match(self, contact0):
-        zero = np.zeros(10, dtype=complex)
-        sampled = SampledElement(zero, 0.0, 0.0, zero, zero, zero, zero, s=2.0)
-        with pytest.raises(ValueError):
-            essential_spectrum(sampled, 11)
 
 
 def test_serialization_round_trip(contact0, rng):
