@@ -16,7 +16,7 @@ from tcalgebra import (
     essential_spectrum,
     normalize,
     parse,
-    spectrum_samples,
+    spectrum_branches,
 )
 
 phi = MoebiusMap(-1, -1, 0, 2)
@@ -24,10 +24,8 @@ contact = boundary_contact(phi)  # s = 2
 
 
 def interval_points(text, resolution=2001):
-    b = normalize(parse(text), contact)
-    return np.array(
-        [z for z, src in spectrum_samples(b, resolution) if src != "circle"]
-    )
+    _, plus, minus = spectrum_branches(normalize(parse(text), contact), resolution)
+    return np.concatenate([plus, minus])
 
 
 # Real part of C: the interval [-sqrt(s), sqrt(s)].

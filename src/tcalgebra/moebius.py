@@ -198,42 +198,26 @@ def _contact_quadratic(m: MoebiusMap) -> tuple[complex, float]:
     return A, B
 
 
-def _circle_sup(m: MoebiusMap, samples: int) -> tuple[float, float]:
-    """Max of |phi| over a uniform circle grid; returns (max, argmax angle)."""
+def _circle_sup(m: MoebiusMap, samples: int) -> float:
+    """Max of |phi| over a uniform circle grid."""
     theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    vals = np.abs(m(np.exp(1j * theta)))
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(theta[i])
-
-
-def _contact_by_sampling(m: MoebiusMap, tol: Tolerances) -> complex | None:
-    # Degenerate quadratic: locate the touching point by sampling the
-    # circle and refining around the running maximizer.
-    best, angle = _circle_sup(m, tol.circle_samples)
-    spacing = 2 * np.pi / tol.circle_samples
-    for _ in range(3):
-        local = np.linspace(angle - spacing, angle + spacing, 257)
-        vals = np.abs(m(np.exp(1j * local)))
-        i = int(np.argmax(vals))
-        best, angle = float(vals[i]), float(local[i])
-        spacing = local[1] - local[0]
-    if abs(best - 1.0) > 1e-7:
-        return None
-    return cmath.exp(1j * angle)
+    return float(np.max(np.abs(m(np.exp(1j * theta)))))
 
 
 def _contact_point(m: MoebiusMap, tol: Tolerances) -> complex | None:
     """Unimodular solution of |phi(z)| = 1, or None when the map stays inside.
 
     Raises NotSelfMapError when the quadratic has two distinct unimodular
-    roots, which means |phi| crosses 1 on an arc.
+    roots, which means |phi| crosses 1 on an arc.  When A vanishes,
+    |phi|^2 - 1 = B/|cz+d|^2 keeps the sign of B on the whole circle, so
+    there is no isolated contact point.
     """
     mn = m.normalized()
     A, B = _contact_quadratic(mn)
     if abs(A) <= tol.degenerate_quad:
         if abs(B) <= tol.degenerate_quad:
             raise AutomorphismError("|phi| is identically 1 on the circle")
-        return _contact_by_sampling(mn, tol)
+        return None
     disc = B * B - 4 * abs(A) ** 2
     if abs(disc) <= tol.contact_disc:
         # Tangency makes the root double; -B/(2A) is the stable form, the
@@ -295,10 +279,10 @@ def classify(m: MoebiusMap, tol: Tolerances = TOL) -> MapClass:
     if mn.c != 0 and abs(mn.d / mn.c) <= 1 + tol.selfmap_slack:
         return MapClass(MapKind.NOT_SELF_MAP)
     A, B = _contact_quadratic(mn)
-    if abs(A) <= 1e-12 and abs(B) <= 1e-12:
+    if abs(A) <= tol.degenerate_quad and abs(B) <= tol.degenerate_quad:
         # |phi| = 1 identically on the circle and the pole sits outside.
         return MapClass(MapKind.AUTOMORPHISM, automorphism_kind=_automorphism_kind(mn))
-    sup, _ = _circle_sup(mn, tol.circle_samples)
+    sup = _circle_sup(mn, tol.circle_samples)
     if sup > 1 + tol.selfmap_slack:
         return MapClass(MapKind.NOT_SELF_MAP)
     try:

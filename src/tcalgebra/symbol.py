@@ -318,17 +318,23 @@ def _interval_values(b: SymbolElement, ts: np.ndarray) -> tuple:
     return b.w(b.contact.zeta), b.w(b.contact.eta), b.f(ts), b.g(ts), b.h(ts), b.k(ts)
 
 
-def _branch_eigenvalues(b: SymbolElement, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the interval matrices: mean +- sqrt(disc)/2.
+def spectrum_branches(
+    b: SymbolElement, resolution: int = 1000
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The essential spectrum by source: w on the circle grid, then the two
+    eigenvalue branches mean +- sqrt(disc)/2 of the interval matrices.
 
-    Both square-root signs are returned so no branch choice can drop points.
+    The circle grid has resolution + 2 points (zeta and eta included), the
+    interval grid resolution points covering [0, s].  Both square-root
+    signs are returned so no branch choice can drop points.
     """
+    circle, ts = _grids(b, resolution)
     wz, we, f, g, h, k = _interval_values(b, ts)
     diag_sum = f + we + g + wz
     diag_diff = f + we - g - wz
     disc = diag_diff.astype(complex) ** 2 + 4 * h * k
     root = np.sqrt(disc)
-    return (diag_sum + root) / 2.0, (diag_sum - root) / 2.0
+    return b.w(circle), (diag_sum + root) / 2.0, (diag_sum - root) / 2.0
 
 
 def spectrum_samples(b: SymbolElement, resolution: int = 1000) -> list[tuple[complex, str]]:
@@ -337,13 +343,12 @@ def spectrum_samples(b: SymbolElement, resolution: int = 1000) -> list[tuple[com
     Labels are "circle" for w values on the circle grid and "interval+" /
     "interval-" for the two eigenvalue branches over the [0, s] grid.
     """
-    circle, ts = _grids(b, resolution)
-    plus, minus = _branch_eigenvalues(b, ts)
-    rows: list[tuple[complex, str]] = []
-    rows.extend((complex(v), "circle") for v in b.w(circle))
-    rows.extend((complex(v), "interval+") for v in plus)
-    rows.extend((complex(v), "interval-") for v in minus)
-    return rows
+    labels = ("circle", "interval+", "interval-")
+    return [
+        (z, label)
+        for values, label in zip(spectrum_branches(b, resolution), labels)
+        for z in values.tolist()
+    ]
 
 
 def essential_spectrum(b: SymbolElement, resolution: int = 1000) -> np.ndarray:
@@ -353,7 +358,7 @@ def essential_spectrum(b: SymbolElement, resolution: int = 1000) -> np.ndarray:
     image of the interval matrices over a deterministic grid on [0, s]
     that includes both endpoints.
     """
-    return np.array([z for z, _ in spectrum_samples(b, resolution)], dtype=complex)
+    return np.concatenate(spectrum_branches(b, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -402,63 +407,65 @@ class NormReport:
         return self.grid_spacing * self.derivative_bound
 
 
-def _refine(values_fn, x0: float, lo: float, hi: float, spacing: float, resolution: int, rounds: int = 3):
-    """Three rounds of local grid refinement around a running extremizer."""
-    best_x, best_v = x0, None
-    for _ in range(rounds):
-        a = max(lo, best_x - spacing)
-        bnd = min(hi, best_x + spacing)
-        xs = np.linspace(a, bnd, resolution)
+def _refine(values_fn, x0: float, lo: float, hi: float, spacing: float, resolution: int):
+    """Up to three rounds of local grid refinement around a running maximizer.
+
+    A round whose grid would collapse to spacing 0 (its width is below
+    rounding at x0) is not taken, so the last grid kept gives the spacing
+    and the crude derivative bound.  The first round always runs; its
+    spacing is 2 spacing / (resolution - 1), so it collapses only for
+    resolutions above about 1e8.
+    """
+    for n in range(3):
+        xs = np.linspace(max(lo, x0 - spacing), min(hi, x0 + spacing), resolution)
+        if n and xs[1] == xs[0]:
+            break
         vals = values_fn(xs)
         i = int(np.argmax(vals))
-        best_x, best_v = float(xs[i]), float(vals[i])
-        spacing = xs[1] - xs[0] if len(xs) > 1 else spacing
-    # crude derivative bound from the final fine grid
-    if len(xs) > 1:
-        dbound = float(np.max(np.abs(np.diff(vals)))) / (xs[1] - xs[0])
-    else:
-        dbound = 0.0
-    return best_v, best_x, float(spacing), dbound
+        x0, spacing = float(xs[i]), xs[1] - xs[0]
+    dbound = float(np.max(np.abs(np.diff(vals)))) / spacing
+    return float(vals[i]), x0, float(spacing), dbound
+
+
+def _refined_max(b: SymbolElement, resolution: int, sign: int, interval_fn) -> tuple:
+    """Sup of sign * |w| on the circle and of interval_fn on [0, s].
+
+    Each side takes its grid argmax, refines around it and keeps the larger
+    of the grid and refined values.  Returns one (value, at, spacing,
+    derivative bound) tuple per side, circle first, the circle's `at` an
+    angle in [0, 2 pi).
+    """
+    circle, ts = _grids(b, resolution)
+
+    circle_vals = sign * np.abs(b.w(circle))
+    ic = int(np.argmax(circle_vals))
+    angle = float(np.angle(circle[ic]) % (2 * np.pi))
+    spacing = 2 * np.pi / resolution
+    cv, ca, cs, cd = _refine(
+        lambda th: sign * np.abs(b.w(np.exp(1j * th))),
+        angle,
+        angle - spacing,
+        angle + spacing,
+        spacing,
+        resolution,
+    )
+
+    interval_vals = interval_fn(ts)
+    it = int(np.argmax(interval_vals))
+    iv, ia, isp, idb = _refine(
+        interval_fn, float(ts[it]), 0.0, b.s, float(ts[1] - ts[0]), resolution
+    )
+    return (
+        (max(float(circle_vals[ic]), cv), ca % (2 * np.pi), cs, cd),
+        (max(float(interval_vals[it]), iv), ia, isp, idb),
+    )
 
 
 def essential_norm_report(b: SymbolElement, resolution: int = 1000) -> NormReport:
-    circle, ts = _grids(b, resolution)
-
-    circle_vals = np.abs(b.w(circle))
-    ic = int(np.argmax(circle_vals))
-    circle_best = float(circle_vals[ic])
-    circle_angle = float(np.angle(circle[ic]) % (2 * np.pi))
-
-    interval_vals = _interval_norms(b, ts)
-    it = int(np.argmax(interval_vals))
-    interval_best = float(interval_vals[it])
-    interval_t = float(ts[it])
-
-    circle_spacing = 2 * np.pi / resolution
-    cv, ca, cs, cd = _refine(
-        lambda th: np.abs(b.w(np.exp(1j * th))),
-        circle_angle,
-        circle_angle - circle_spacing,
-        circle_angle + circle_spacing,
-        circle_spacing,
-        resolution,
-    )
-    circle_best = max(circle_best, cv)
-
-    t_spacing = ts[1] - ts[0]
-    iv, ia, isp, idb = _refine(
-        lambda xs: _interval_norms(b, xs),
-        interval_t,
-        0.0,
-        b.s,
-        float(t_spacing),
-        resolution,
-    )
-    interval_best = max(interval_best, iv)
-
-    if circle_best >= interval_best:
-        return NormReport(circle_best, "circle", ca % (2 * np.pi), cs, cd)
-    return NormReport(interval_best, "interval", ia, isp, idb)
+    circle, interval = _refined_max(b, resolution, 1, lambda ts: _interval_norms(b, ts))
+    if circle[0] >= interval[0]:
+        return NormReport(circle[0], "circle", *circle[1:])
+    return NormReport(interval[0], "interval", *interval[1:])
 
 
 def essential_norm(b: SymbolElement, resolution: int = 1000) -> float:
@@ -470,34 +477,8 @@ def is_fredholm(b: SymbolElement, resolution: int = 1000, tol: Tolerances = TOL)
     """Invertibility of the symbol: w stays away from 0 on the circle and
     the interval matrices stay away from singularity (0 outside the
     essential spectrum, up to the threshold)."""
-    circle, ts = _grids(b, resolution)
-
-    circle_vals = np.abs(b.w(circle))
-    ic = int(np.argmin(circle_vals))
-    circle_min = float(circle_vals[ic])
-    dets = _interval_dets(b, ts)
-    idx = int(np.argmin(dets))
-    det_min = float(dets[idx])
-
-    angle = float(np.angle(circle[ic]) % (2 * np.pi))
-    spacing = 2 * np.pi / resolution
-    neg_min, _, _, _ = _refine(
-        lambda th: -np.abs(b.w(np.exp(1j * th))),
-        angle,
-        angle - spacing,
-        angle + spacing,
-        spacing,
-        resolution,
-    )
-    circle_min = min(circle_min, -neg_min)
-
-    t_spacing = float(ts[1] - ts[0])
-    neg_min, _, _, _ = _refine(
-        lambda xs: -_interval_dets(b, xs), float(ts[idx]), 0.0, b.s, t_spacing, resolution
-    )
-    det_min = min(det_min, -neg_min)
-
-    return circle_min > tol.fredholm and det_min > tol.fredholm
+    circle, interval = _refined_max(b, resolution, -1, lambda ts: -_interval_dets(b, ts))
+    return -circle[0] > tol.fredholm and -interval[0] > tol.fredholm
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ class Tolerances:
     selfmap_slack     -- allowed excess of sup |phi| over 1 on the circle grid
     contact_disc      -- discriminant size below which the contact quadratic
                          is treated as having a double root
-    degenerate_quad   -- leading-coefficient size below which the contact
-                         quadratic degenerates and circle sampling takes over
+    degenerate_quad   -- coefficient size below which the contact quadratic
+                         degenerates: no isolated contact point, and an
+                         automorphism when its constant term vanishes too
     circle_samples    -- grid size for the sup |phi| self-map test
     coefficient       -- coefficient-level zero test (centrality, rendering)
     fredholm          -- min |det| / min |w| threshold for invertibility
@@ -25,7 +26,7 @@ class Tolerances:
     projective: float = 1e-10
     selfmap_slack: float = 1e-9
     contact_disc: float = 1e-9
-    degenerate_quad: float = 1e-13
+    degenerate_quad: float = 1e-12
     circle_samples: int = 4096
     coefficient: float = 1e-10
     fredholm: float = 1e-8

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tcalgebra import verify
+from tcalgebra import MoebiusMap, verify
 from tcalgebra.cli import main
 
 from conftest import psi_t
@@ -78,6 +78,11 @@ class TestNormalize:
         assert main(["normalize", "--map", phi0_file, "--expr", "C + "]) == 1
         assert "offset 4" in capsys.readouterr().err
 
+    def test_strict_contraction_rejected(self, tmp_path, capsys):
+        path = _write_map(tmp_path, "near_rotation.json", MoebiusMap(1 - 1e-9, 0, 0, 1j))
+        assert main(["normalize", "--map", path, "--expr", "C"]) == 2
+        assert "no boundary contact" in capsys.readouterr().err
+
     def test_parabolic_map_rejected(self, tmp_path, capsys):
         path = _write_map(tmp_path, "psi1.json", psi_t(1.0))
         assert main(["normalize", "--map", path, "--expr", "C"]) == 2
@@ -96,6 +101,9 @@ class TestSpectrum:
         assert lines[0] == "re,im,source"
         rows = [line.split(",") for line in lines[1:]]
         assert {row[2] for row in rows} == {"circle", "interval+", "interval-"}
+        assert [row[2] for row in rows] == (
+            ["circle"] * 203 + ["interval+"] * 201 + ["interval-"] * 201
+        )
         res = [float(row[0]) for row in rows]
         ims = [float(row[1]) for row in rows]
         assert max(abs(v) for v in ims) < 1e-12

@@ -129,6 +129,13 @@ class TestBoundaryContact:
     def test_contraction_has_none(self):
         assert boundary_contact(MoebiusMap(1, 0, 0, 2)) is None
 
+    def test_near_rotation_contraction_has_none(self):
+        # The contact quadratic's A vanishes and B = -2e-9 < 0: |phi| < 1 on
+        # the whole circle, so there is no contact point to report.
+        m = MoebiusMap(1 - 1e-9, 0, 0, 1j)
+        assert classify(m).kind == MapKind.STRICT_CONTRACTION
+        assert boundary_contact(m) is None
+
     def test_automorphism_raises(self):
         with pytest.raises(AutomorphismError):
             boundary_contact(rotation(1j))

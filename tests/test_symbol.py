@@ -24,7 +24,10 @@ from tcalgebra import (
     identity_element,
     is_central,
     is_fredholm,
+    normalize,
+    parse,
     phi_lambda,
+    spectrum_branches,
     spectrum_samples,
     zero_element,
 )
@@ -200,6 +203,18 @@ class TestEssentialSpectrum:
         sources = {src for _, src in rows}
         assert sources == {"circle", "interval+", "interval-"}
 
+    def test_branches_make_up_the_spectrum(self, contact0, rng):
+        b = _random_element(rng, contact0)
+        res = 203
+        branches = spectrum_branches(b, res)
+        assert [len(v) for v in branches] == [res + 2, res, res]
+        assert np.array_equal(essential_spectrum(b, res), np.concatenate(branches))
+        rows = spectrum_samples(b, res)
+        labels = ["circle"] * (res + 2) + ["interval+"] * res + ["interval-"] * res
+        assert [src for _, src in rows] == labels
+        assert all(type(z) is complex for z, _ in rows)
+        assert np.array_equal(np.array([z for z, _ in rows]), np.concatenate(branches))
+
     def test_conjugate_symmetry(self, contact0, rng):
         b = _random_element(rng, contact0)
         pts = np.sort_complex(essential_spectrum(b, 301))
@@ -239,6 +254,15 @@ class TestEssentialNorm:
         assert abs(rep.at - contact0.s) < 1e-9
         assert rep.grid_spacing > 0
         assert rep.accuracy >= 0
+
+    def test_accuracy_finite_at_fine_resolution(self, contact0):
+        # At 50000 points the third refinement round around t = s would
+        # collapse to spacing 0; the report keeps the last grid that did not.
+        b = normalize(parse("C + C' + 2*I"), contact0)
+        rep = essential_norm_report(b, 50000)
+        assert rep.grid_spacing > 0
+        assert math.isfinite(rep.accuracy)
+        assert abs(rep.value - (2 + SQRT2)) <= rep.accuracy + 1e-12
 
     def test_cstar_identity(self, contact0, rng):
         b = _random_element(rng, contact0)
