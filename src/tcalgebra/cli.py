@@ -68,7 +68,7 @@ def _fail(code: int, message: str) -> int:
 
 def _algebra_contact(m: MoebiusMap):
     cls = _require_contact(m)
-    if abs(cls.contact.zeta - cls.contact.eta) <= 1e-9:
+    if cls.contact.fixed:
         raise SystemExit(
             _fail(2, "contact point is fixed (zeta = eta); the quotient calculus needs zeta != eta")
         )

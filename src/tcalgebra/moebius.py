@@ -56,8 +56,13 @@ class ContactData:
     s: float
 
     @property
+    def fixed(self) -> bool:
+        """zeta = eta to 1e-9: the contact point is a boundary fixed point."""
+        return abs(self.zeta - self.eta) <= 1e-9
+
+    @property
     def parabolic(self) -> bool:
-        return abs(self.zeta - self.eta) <= 1e-9 and abs(self.dphi - 1.0) <= 1e-9
+        return self.fixed and abs(self.dphi - 1.0) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -187,61 +192,31 @@ def rotation(alpha: complex) -> MoebiusMap:
     return MoebiusMap(alpha, 0, 0, 1)
 
 
-def _contact_quadratic(m: MoebiusMap) -> tuple[complex, float]:
-    """|phi|^2 - 1 on the circle equals (B + 2 Re(A z)) / |cz+d|^2.
+def boundary_contact(m: MoebiusMap, tol: Tolerances = TOL) -> ContactData | None:
+    """Contact data of a non-automorphism self-map, or None if sup |phi| < 1.
 
-    The contact condition is A z^2 + B z + conj(A) = 0 with |z| = 1.
+    With the pole outside the closed disk (|d| > |c|), on the circle
+    |az+b|^2 - |cz+d|^2 = B + 2 Re(A z) for A = a conj(b) - c conj(d) and
+    B = |a|^2 + |b|^2 - |c|^2 - |d|^2.  Its maximum B + 2|A| decides the
+    class, and the maximizer conj(A)/|A| = -B/(2A) (B = -2|A| at contact)
+    is the contact point zeta.  Raises NotSelfMapError when the pole lies
+    in the closed disk or the maximum exceeds zero, and AutomorphismError
+    when |phi| is identically 1 on the circle.
     """
-    a, b, c, d = m.coeffs()
+    a, b, c, d = m.normalized().coeffs()
+    if abs(d) <= abs(c):
+        raise NotSelfMapError("the pole of phi lies in the closed disk")
     A = a * b.conjugate() - c * d.conjugate()
     B = abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2
-    return A, B
-
-
-def _circle_sup(m: MoebiusMap, samples: int) -> float:
-    """Max of |phi| over a uniform circle grid."""
-    theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    return float(np.max(np.abs(m(np.exp(1j * theta)))))
-
-
-def _contact_point(m: MoebiusMap, tol: Tolerances) -> complex | None:
-    """Unimodular solution of |phi(z)| = 1, or None when the map stays inside.
-
-    Raises NotSelfMapError when the quadratic has two distinct unimodular
-    roots, which means |phi| crosses 1 on an arc.  When A vanishes,
-    |phi|^2 - 1 = B/|cz+d|^2 keeps the sign of B on the whole circle, so
-    there is no isolated contact point.
-    """
-    mn = m.normalized()
-    A, B = _contact_quadratic(mn)
-    if abs(A) <= tol.degenerate_quad:
-        if abs(B) <= tol.degenerate_quad:
-            raise AutomorphismError("|phi| is identically 1 on the circle")
+    if abs(A) <= tol.contact and abs(B) <= tol.contact:
+        raise AutomorphismError("|phi| is identically 1 on the circle")
+    excess = B + 2 * abs(A)
+    if excess > tol.contact:
+        raise NotSelfMapError("|phi| exceeds 1 on an arc of the circle")
+    if excess < -tol.contact:
         return None
-    disc = B * B - 4 * abs(A) ** 2
-    if abs(disc) <= tol.contact_disc:
-        # Tangency makes the root double; -B/(2A) is the stable form, the
-        # two naive roots would separate by O(sqrt(disc)).
-        zeta = -B / (2 * A)
-    else:
-        sq = cmath.sqrt(disc)
-        roots = [(-B + sq) / (2 * A), (-B - sq) / (2 * A)]
-        unimodular = [z for z in roots if abs(abs(z) - 1) <= 1e-7]
-        if len(unimodular) >= 2 and abs(unimodular[0] - unimodular[1]) > 1e-7:
-            raise NotSelfMapError("|phi| exceeds 1 on an arc of the circle")
-        if not unimodular:
-            return None
-        zeta = unimodular[0]
-    if abs(abs(zeta) - 1) > 1e-6:
-        return None
-    return zeta / abs(zeta)
-
-
-def boundary_contact(m: MoebiusMap, tol: Tolerances = TOL) -> ContactData | None:
-    """Contact data of a non-automorphism self-map, or None if sup |phi| < 1."""
-    zeta = _contact_point(m, tol)
-    if zeta is None:
-        return None
+    zeta = -B / (2 * A)
+    zeta = zeta / abs(zeta)
     eta = m(zeta)
     eta = eta / abs(eta)
     dphi = m.derivative(zeta)
@@ -276,19 +251,12 @@ def _automorphism_kind(m: MoebiusMap) -> str:
 def classify(m: MoebiusMap, tol: Tolerances = TOL) -> MapClass:
     """Sort a map into not-self-map / strict contraction / contact / automorphism."""
     mn = m.normalized()
-    if mn.c != 0 and abs(mn.d / mn.c) <= 1 + tol.selfmap_slack:
-        return MapClass(MapKind.NOT_SELF_MAP)
-    A, B = _contact_quadratic(mn)
-    if abs(A) <= tol.degenerate_quad and abs(B) <= tol.degenerate_quad:
-        # |phi| = 1 identically on the circle and the pole sits outside.
-        return MapClass(MapKind.AUTOMORPHISM, automorphism_kind=_automorphism_kind(mn))
-    sup = _circle_sup(mn, tol.circle_samples)
-    if sup > 1 + tol.selfmap_slack:
-        return MapClass(MapKind.NOT_SELF_MAP)
     try:
         contact = boundary_contact(mn, tol)
     except NotSelfMapError:
         return MapClass(MapKind.NOT_SELF_MAP)
+    except AutomorphismError:
+        return MapClass(MapKind.AUTOMORPHISM, automorphism_kind=_automorphism_kind(mn))
     if contact is None:
         return MapClass(MapKind.STRICT_CONTRACTION)
     return MapClass(MapKind.CONTACT, contact=contact, parabolic=contact.parabolic)

@@ -97,10 +97,6 @@ class TrigPolynomial:
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self._coeffs.values())
 
-    def sup_norm(self, samples: int = 4096) -> float:
-        theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-        return float(np.max(np.abs(self(np.exp(1j * theta)))))
-
     def equals_exact(self, other: "TrigPolynomial") -> bool:
         return self._coeffs == other._coeffs
 

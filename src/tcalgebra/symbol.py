@@ -65,7 +65,7 @@ TRIPLE_POINT = LambdaPoint("triple", None)
 
 
 def _check_contact(contact: ContactData) -> ContactData:
-    if abs(contact.zeta - contact.eta) <= 1e-9:
+    if contact.fixed:
         raise InvalidContactError(
             "contact point equals its image; the two-point calculus needs zeta != eta"
         )

@@ -9,13 +9,12 @@ class Tolerances:
 
     projective        -- relative tolerance for projective equality of
                          Moebius coefficient quadruples
-    selfmap_slack     -- allowed excess of sup |phi| over 1 on the circle grid
-    contact_disc      -- discriminant size below which the contact quadratic
-                         is treated as having a double root
-    degenerate_quad   -- coefficient size below which the contact quadratic
-                         degenerates: no isolated contact point, and an
-                         automorphism when its constant term vanishes too
-    circle_samples    -- grid size for the sup |phi| self-map test
+    contact           -- band around 0 for the circle maximum B + 2|A| of
+                         |az+b|^2 - |cz+d|^2 (coefficients scaled to largest
+                         modulus one): above it the map is not a self-map,
+                         below it a strict contraction, inside it a contact
+                         map, or an automorphism when |A| and |B| both lie
+                         within it
     coefficient       -- coefficient-level zero test (centrality, rendering)
     fredholm          -- min |det| / min |w| threshold for invertibility
                          of the symbol
@@ -24,10 +23,7 @@ class Tolerances:
     """
 
     projective: float = 1e-10
-    selfmap_slack: float = 1e-9
-    contact_disc: float = 1e-9
-    degenerate_quad: float = 1e-12
-    circle_samples: int = 4096
+    contact: float = 1e-12
     coefficient: float = 1e-10
     fredholm: float = 1e-8
     constancy: float = 1e-9

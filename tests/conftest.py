@@ -55,5 +55,37 @@ def random_contact_map(rng: np.random.Generator) -> MoebiusMap:
     return rotation_map(u).compose(psi).compose(rotation_map(w))
 
 
+def pole_contact_map(rng: np.random.Generator) -> tuple[MoebiusMap, complex, complex, float]:
+    """Contact map with a finite pole, with zeta, eta and s in closed form.
+
+    psi(z) = (1 - lam) + lam z touches the circle only at psi(1) = 1, with
+    psi'(1) = lam.  phi = R_beta A_a psi A_b R_alpha, for rotations R and
+    automorphisms A_a(z) = (z - a)/(1 - conj(a) z), touches at
+    zeta = e^{-i alpha} (1 + b)/(1 + conj(b)), the point R_alpha and A_b
+    send to 1, with image eta = e^{i beta} (1 - a)/(1 - conj(a)).  The chain
+    rule gives s = 1/|phi'(zeta)| = |1 - a|^2 (1 - |b|^2) / (lam (1 - |a|^2) |1 + b|^2).
+    """
+    lam = rng.uniform(0.3, 0.7)
+    a = complex(*rng.uniform(-0.45, 0.45, 2))
+    b = complex(*rng.uniform(-0.45, 0.45, 2))
+    alpha, beta = rng.uniform(0.0, 2 * np.pi, 2)
+    phi = (
+        rotation_map(np.exp(1j * beta))
+        .compose(automorphism_map(a))
+        .compose(MoebiusMap(lam, 1 - lam, 0, 1))
+        .compose(automorphism_map(b))
+        .compose(rotation_map(np.exp(1j * alpha)))
+    )
+    zeta = np.exp(-1j * alpha) * (1 + b) / (1 + b.conjugate())
+    eta = np.exp(1j * beta) * (1 - a) / (1 - a.conjugate())
+    s = abs(1 - a) ** 2 * (1 - abs(b) ** 2) / (lam * (1 - abs(a) ** 2) * abs(1 + b) ** 2)
+    return phi, complex(zeta), complex(eta), float(s)
+
+
 def rotation_map(alpha: complex) -> MoebiusMap:
     return MoebiusMap(alpha, 0, 0, 1)
+
+
+def automorphism_map(a: complex) -> MoebiusMap:
+    """Disk automorphism z -> (z - a) / (1 - conj(a) z)."""
+    return MoebiusMap(1, -a, -a.conjugate(), 1)

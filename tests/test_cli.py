@@ -53,6 +53,13 @@ class TestAnalyze:
         assert main(["analyze", "--map", str(path)]) == 2
         assert "no boundary contact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", (10, 11, 12))
+    def test_near_rotation_above_one_exits_2(self, tmp_path, capsys, k):
+        # |(1 + 10^-k) z| > 1 on the whole circle.
+        path = _write_map(tmp_path, "expansion.json", MoebiusMap(1 + 10.0**-k, 0, 0, 1))
+        assert main(["analyze", "--map", path]) == 2
+        assert "map does not send the disk into itself" in capsys.readouterr().err
+
     def test_automorphism_exits_2(self, tmp_path, capsys):
         path = tmp_path / "rot.json"
         path.write_text(json.dumps({"a": [0, 1], "b": [0, 0], "c": [0, 0], "d": [1, 0]}))

@@ -10,6 +10,7 @@ from tcalgebra import (
     MapKind,
     MoebiusMap,
     NotParabolicError,
+    NotSelfMapError,
     boundary_contact,
     classify,
     identity_map,
@@ -17,7 +18,11 @@ from tcalgebra import (
     rotation,
 )
 
-from conftest import psi_t, random_contact_map
+from conftest import pole_contact_map, psi_t, random_contact_map
+
+# Random contact maps: Cayley-conjugated half-plane contractions, and
+# finite-pole maps whose boundary data are known in closed form.
+CONTACT_FAMILIES = (random_contact_map, lambda rng: pole_contact_map(rng)[0])
 
 
 def test_degenerate_rejected():
@@ -110,6 +115,17 @@ class TestClassify:
     def test_pole_in_disk_rejected(self):
         assert classify(MoebiusMap(0, 1, 1, 0.5)).kind == MapKind.NOT_SELF_MAP
 
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_scaled_by_r_near_one(self, phi0, rng, k):
+        # r z and r phi for a contact phi: the circle maximum of |r phi| is r,
+        # so the class turns from strict contraction to not a self-map at r = 1.
+        for m in (identity_map(), phi0, pole_contact_map(rng)[0]):
+            for r, kind in (
+                (1 - 10.0**-k, MapKind.STRICT_CONTRACTION),
+                (1 + 10.0**-k, MapKind.NOT_SELF_MAP),
+            ):
+                assert classify(MoebiusMap(r * m.a, r * m.b, m.c, m.d)).kind == kind, (r, m)
+
 
 class TestBoundaryContact:
     def test_phi0(self, phi0):
@@ -140,44 +156,67 @@ class TestBoundaryContact:
         with pytest.raises(AutomorphismError):
             boundary_contact(rotation(1j))
 
+    @pytest.mark.parametrize("m", [MoebiusMap(0, 1, 2, 0), MoebiusMap(0, 1, 1, 0)])
+    def test_pole_in_closed_disk_raises(self, m):
+        # 1/(2z) and 1/z: classify and boundary_contact agree.
+        assert classify(m).kind == MapKind.NOT_SELF_MAP
+        with pytest.raises(NotSelfMapError):
+            boundary_contact(m)
+
+    def test_pole_family_matches_construction(self, rng):
+        for _ in range(20):
+            m, zeta, eta, s = pole_contact_map(rng)
+            cls = classify(m)
+            assert cls.kind == MapKind.CONTACT
+            for c in (cls.contact, boundary_contact(m)):
+                assert abs(c.zeta - zeta) < 1e-12
+                assert abs(c.eta - eta) < 1e-12
+                assert abs(c.s - s) < 1e-12 * s
+            assert abs(1 / abs(m.derivative(zeta)) - s) < 1e-12 * s
+            assert abs(abs(m.krein_adjoint.derivative(eta)) - s) < 1e-12 * s
+
     def test_contact_duality(self, rng):
         # if phi touches at zeta -> eta, sigma touches at eta -> zeta
-        for _ in range(20):
-            m = random_contact_map(rng)
-            c = boundary_contact(m)
-            cs = boundary_contact(m.krein_adjoint)
-            assert abs(cs.zeta - c.eta) < 1e-7
-            assert abs(cs.eta - c.zeta) < 1e-7
+        for make_contact_map in CONTACT_FAMILIES:
+            for _ in range(20):
+                m = make_contact_map(rng)
+                c = boundary_contact(m)
+                cs = boundary_contact(m.krein_adjoint)
+                assert abs(cs.zeta - c.eta) < 1e-7
+                assert abs(cs.eta - c.zeta) < 1e-7
 
     def test_derivative_product(self, rng):
-        for _ in range(20):
-            m = random_contact_map(rng)
-            c = boundary_contact(m)
-            prod = m.derivative(c.zeta) * m.krein_adjoint.derivative(c.eta)
-            assert abs(prod - 1.0) < 1e-12
+        for make_contact_map in CONTACT_FAMILIES:
+            for _ in range(20):
+                m = make_contact_map(rng)
+                c = boundary_contact(m)
+                prod = m.derivative(c.zeta) * m.krein_adjoint.derivative(c.eta)
+                assert abs(prod - 1.0) < 1e-12
 
     def test_scaling_invariance(self, rng):
-        for _ in range(20):
-            m = random_contact_map(rng)
-            lam = complex(rng.standard_normal(), rng.standard_normal())
-            if abs(lam) < 1e-3:
-                continue
-            scaled = MoebiusMap(lam * m.a, lam * m.b, lam * m.c, lam * m.d)
-            c1, c2 = boundary_contact(m), boundary_contact(scaled)
-            assert abs(c1.zeta - c2.zeta) < 1e-12
-            assert abs(c1.eta - c2.eta) < 1e-12
-            assert abs(c1.s - c2.s) < 1e-12
+        for make_contact_map in CONTACT_FAMILIES:
+            for _ in range(20):
+                m = make_contact_map(rng)
+                lam = complex(rng.standard_normal(), rng.standard_normal())
+                if abs(lam) < 1e-3:
+                    continue
+                scaled = MoebiusMap(lam * m.a, lam * m.b, lam * m.c, lam * m.d)
+                c1, c2 = boundary_contact(m), boundary_contact(scaled)
+                assert abs(c1.zeta - c2.zeta) < 1e-12
+                assert abs(c1.eta - c2.eta) < 1e-12
+                assert abs(c1.s - c2.s) < 1e-12
 
     def test_s_formula_agreement(self, rng):
         # s equals the coefficient quotient on any representative
-        for _ in range(20):
-            m = random_contact_map(rng)
-            c = boundary_contact(m)
-            a, b, _c, d = m.coeffs()
-            quotient = (_c.conjugate() * c.zeta.conjugate() + d.conjugate()) / (
-                -b.conjugate() * c.eta + d.conjugate()
-            )
-            assert abs(quotient - c.s) < 1e-9 * max(1.0, c.s)
+        for make_contact_map in CONTACT_FAMILIES:
+            for _ in range(20):
+                m = make_contact_map(rng)
+                c = boundary_contact(m)
+                a, b, _c, d = m.coeffs()
+                quotient = (_c.conjugate() * c.zeta.conjugate() + d.conjugate()) / (
+                    -b.conjugate() * c.eta + d.conjugate()
+                )
+                assert abs(quotient - c.s) < 1e-9 * max(1.0, c.s)
 
 
 class TestDerivative:
