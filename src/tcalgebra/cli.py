@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 
-from .moebius import MapKind, MoebiusMap, classify, parabolic_translation
+from .moebius import MapFormatError, MapKind, MoebiusMap, classify, parabolic_translation
 from . import rewriter, symbol, verify
 from .rewriter import ExpressionSyntaxError
 from .symbol import InvalidContactError
@@ -46,7 +46,11 @@ def _write_out(path: str | None, text: str) -> None:
 
 def _load_map(path: str) -> MoebiusMap:
     with open(path) as handle:
-        return MoebiusMap.from_json_dict(json.load(handle))
+        data = json.load(handle)
+    try:
+        return MoebiusMap.from_json_dict(data)
+    except MapFormatError as exc:
+        raise ValueError(f"map file {path}: {exc}") from None
 
 
 def _require_contact(m: MoebiusMap):
@@ -96,9 +100,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_normalize(args) -> int:
+def _element(args):
+    """The canonical quintuple of --expr over the contact data of --map."""
     contact = _algebra_contact(_load_map(args.map))
-    element = rewriter.normalize(rewriter.parse(args.expr), contact)
+    return rewriter.normalize(rewriter.parse(args.expr), contact)
+
+
+def cmd_normalize(args) -> int:
+    element = _element(args)
     try:
         expression = rewriter.to_composition_sum(element)
         canonical = rewriter.composition_sum_pretty(element)
@@ -110,19 +119,13 @@ def cmd_normalize(args) -> int:
         "expression": expression,
         "quintuple": element.to_json_dict(),
     }
-    if args.out is None:
-        sys.stdout.write(canonical + "\n")
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(canonical + "\n")
-        _write_out(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(canonical + "\n")
+    _write_out(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    contact = _algebra_contact(_load_map(args.map))
-    element = rewriter.normalize(rewriter.parse(args.expr), contact)
-    rows = symbol.spectrum_samples(element, args.resolution)
+    rows = symbol.spectrum_samples(_element(args), args.resolution)
     lines = ["re,im,source"]
     lines.extend(f"{z.real!r},{z.imag!r},{src}" for z, src in rows)
     _write_out(args.out, "\n".join(lines) + "\n")
@@ -130,9 +133,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    contact = _algebra_contact(_load_map(args.map))
-    element = rewriter.normalize(rewriter.parse(args.expr), contact)
-    report = symbol.essential_norm_report(element, args.resolution)
+    report = symbol.essential_norm_report(_element(args), args.resolution)
     sys.stdout.write(f"{report.value!r}\n")
     payload = {
         "norm": report.value,
@@ -187,21 +188,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "analyze": cmd_analyze,
+    "normalize": cmd_normalize,
+    "spectrum": cmd_spectrum,
+    "norm": cmd_norm,
+    "verify": cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.resolution < 2:
         return _fail(1, "resolution must be at least 2")
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "normalize":
-            return cmd_normalize(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-        if args.command == "norm":
-            return cmd_norm(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 1
     except ExpressionSyntaxError as exc:
@@ -210,7 +211,6 @@ def main(argv=None) -> int:
         return _fail(2, str(exc))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(1, str(exc))
-    return _fail(1, f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

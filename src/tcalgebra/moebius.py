@@ -23,6 +23,10 @@ class DegenerateMapError(ValueError):
     """Coefficient quadruple with ad - bc = 0."""
 
 
+class MapFormatError(ValueError):
+    """JSON map data that is not an object of four [re, im] pairs a, b, c, d."""
+
+
 class NotSelfMapError(ValueError):
     """The map sends part of the disk outside the closed disk."""
 
@@ -171,10 +175,22 @@ class MoebiusMap:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MoebiusMap":
+        if not isinstance(data, dict):
+            raise MapFormatError(
+                f"expected an object with keys a, b, c, d, got {type(data).__name__}"
+            )
         vals = {}
         for key in ("a", "b", "c", "d"):
-            re, im = data[key]
-            vals[key] = complex(re, im)
+            if key not in data:
+                raise MapFormatError(f"key {key!r} is missing")
+            pair = data[key]
+            if not (
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and all(isinstance(x, (int, float)) for x in pair)
+            ):
+                raise MapFormatError(f"key {key!r} must be a pair [re, im] of numbers, got {pair!r}")
+            vals[key] = complex(*pair)
         return MoebiusMap(**vals)
 
     @staticmethod

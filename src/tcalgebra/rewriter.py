@@ -433,27 +433,45 @@ def _trig_grammar(w: TrigPolynomial) -> str:
     return "+".join(parts)
 
 
-def _ring_coefficients(b: SymbolElement):
-    """Monomial coefficients (f_n, g_n, h_n, k_n) of a generator-ring element.
+_PHI = "φ"
+_SIGMA = "σ"
+_CIRC = "∘"
+_CDOT = "·"
+_PHI_SIGMA = _PHI + _CIRC + _SIGMA
+_SIGMA_PHI = _SIGMA + _CIRC + _PHI
 
-    Requires f, g to be plain polynomials and h, k pure sqrt(t) series;
-    raises NotInGeneratorRingError otherwise.
+# slot -> (parity, extra, head, repeat, base, tail).  The slot holds powers
+# of sqrt(t) of one parity (f, g even, h, k odd).  Its monomial of t-degree
+# n is the symbol of s^(n + extra) times one word: head + repeat * n in the
+# grammar, C_{(base)_n} or C_{(base)_n ∘ tail} in the display form.
+_WORD_FORMS = {
+    "f": (0, 0, "", "*S*C", _PHI_SIGMA, None),
+    "g": (0, 0, "", "*C*S", _SIGMA_PHI, None),
+    "h": (1, 0, "*C", "*S*C", _PHI_SIGMA, _PHI),
+    "k": (1, 1, "*S", "*C*S", _SIGMA_PHI, _SIGMA),
+}
+
+
+def _words(b: SymbolElement) -> list[tuple[str, int, complex]]:
+    """(slot, n, word coefficient) for each monomial of f, g, h, k, in slot order.
+
+    Raises NotInGeneratorRingError when a slot holds a power of sqrt(t) of
+    the wrong parity.
     """
-    for name, part in (("f", b.f), ("g", b.g)):
-        if len(part.q):
+    words = []
+    for slot, (parity, extra, *_) in _WORD_FORMS.items():
+        c = getattr(b, slot).c
+        if c[1 - parity :: 2].any():
+            part = "sqrt(t)" if parity == 0 else "polynomial"
             raise NotInGeneratorRingError(
-                f"{name} has a sqrt(t) component; not a word in the generators"
+                f"{slot} has a {part} component; not a word in the generators"
             )
-    for name, part in (("h", b.h), ("k", b.k)):
-        if len(part.p):
-            raise NotInGeneratorRingError(
-                f"{name} has a polynomial component; not a word in the generators"
-            )
-    f = {n: complex(c) for n, c in enumerate(b.f.p) if c != 0}
-    g = {n: complex(c) for n, c in enumerate(b.g.p) if c != 0}
-    h = {n: complex(c) for n, c in enumerate(b.h.q) if c != 0}
-    k = {n: complex(c) for n, c in enumerate(b.k.q) if c != 0}
-    return f, g, h, k
+        words.extend(
+            (slot, n, complex(x) * b.s ** (n + extra))
+            for n, x in enumerate(c[parity::2])
+            if x != 0
+        )
+    return words
 
 
 def to_composition_sum(b: SymbolElement) -> str:
@@ -468,30 +486,15 @@ def to_composition_sum(b: SymbolElement) -> str:
         sqrt(t) t^n in h -> h_n s^n C (S*C)^n
         sqrt(t) t^n in k -> k_n s^(n+1) S (C*S)^n
     """
-    f, g, h, k = _ring_coefficients(b)
-    s = b.s
     terms = []
     if not b.w.is_zero():
         terms.append(f"T{{{_trig_grammar(b.w)}}}")
-    for n, c in sorted(f.items()):
-        terms.append(_literal(c * s**n) + "*S*C" * n)
-    for n, c in sorted(g.items()):
-        terms.append(_literal(c * s**n) + "*C*S" * n)
-    for n, c in sorted(h.items()):
-        terms.append(_literal(c * s**n) + "*C" + "*S*C" * n)
-    for n, c in sorted(k.items()):
-        terms.append(_literal(c * s ** (n + 1)) + "*S" + "*C*S" * n)
+    for slot, n, c in _words(b):
+        head, repeat = _WORD_FORMS[slot][2:4]
+        terms.append(_literal(c) + head + repeat * n)
     if not terms:
         terms.append("0")
     return " + ".join(terms) + " + K"
-
-
-_PHI = "φ"
-_SIGMA = "σ"
-_CIRC = "∘"
-_CDOT = "·"
-_PHI_SIGMA = _PHI + _CIRC + _SIGMA
-_SIGMA_PHI = _SIGMA + _CIRC + _PHI
 
 
 def _pretty_coeff(c: complex) -> str:
@@ -502,28 +505,16 @@ def _pretty_coeff(c: complex) -> str:
 
 def composition_sum_pretty(b: SymbolElement) -> str:
     """Display form of to_composition_sum with named composition operators."""
-    f, g, h, k = _ring_coefficients(b)
-    s = b.s
     terms = []
     if not b.w.is_zero():
         terms.append(f"T{{{_fmt_trig_pretty(b.w)}}}")
-
-    def word(base: str, n: int) -> str:
-        return f"C_{{{base}}}" if n == 1 else f"C_{{({base})_{n}}}"
-
-    def tail_word(base: str, n: int, tail: str) -> str:
-        if n == 0:
-            return f"C_{tail}"
-        return f"C_{{({base})_{n}{_CIRC}{tail}}}"
-
-    for n, c in sorted(f.items()):
-        terms.append(_pretty_coeff(c * s**n) + word(_PHI_SIGMA, n))
-    for n, c in sorted(g.items()):
-        terms.append(_pretty_coeff(c * s**n) + word(_SIGMA_PHI, n))
-    for n, c in sorted(h.items()):
-        terms.append(_pretty_coeff(c * s**n) + tail_word(_PHI_SIGMA, n, _PHI))
-    for n, c in sorted(k.items()):
-        terms.append(_pretty_coeff(c * s ** (n + 1)) + tail_word(_SIGMA_PHI, n, _SIGMA))
+    for slot, n, c in _words(b):
+        base, tail = _WORD_FORMS[slot][4:]
+        if tail is None:
+            word = f"C_{{{base}}}" if n == 1 else f"C_{{({base})_{n}}}"
+        else:
+            word = f"C_{tail}" if n == 0 else f"C_{{({base})_{n}{_CIRC}{tail}}}"
+        terms.append(_pretty_coeff(c) + word)
     if not terms:
         terms.append("0")
     return " + ".join(terms) + " + K"

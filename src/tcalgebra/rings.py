@@ -3,9 +3,12 @@
 TrigPolynomial is a finite Fourier series on the unit circle; it carries
 the continuous symbol of the Toeplitz part.  HalfPolynomial is the ring
 { p(t) + sqrt(t) q(t) : p, q polynomials, p(0) = 0 } on an interval
-[0, s]; it is exactly the closure of the generator functions under the
-product table of the quotient algebra, so all five slots of a canonical
-quintuple stay inside it under sums, products and adjoints.
+[0, s], which is the ring of polynomials in r = sqrt(t) without constant
+term: the coset of the composition operator is u sqrt(x*x), so the
+generators bring in sqrt(t).  It is stored as one coefficient array in
+r, so sums add and products convolve it.  The interval slots f, g, h, k
+of a canonical quintuple stay inside it under sums, products and
+adjoints.
 """
 
 import numpy as np
@@ -17,6 +20,13 @@ def _trim(arr: np.ndarray) -> np.ndarray:
     while n > 0 and arr[n - 1] == 0:
         n -= 1
     return arr[:n]
+
+
+def _view(arr: np.ndarray) -> np.ndarray:
+    """Trimmed read-only view of a coefficient array."""
+    arr = _trim(arr)
+    arr.flags.writeable = False
+    return arr
 
 
 class TrigPolynomial:
@@ -109,17 +119,40 @@ class TrigPolynomial:
 
 
 class HalfPolynomial:
-    """p(t) + sqrt(t) q(t) with p(0) = 0; coefficients in increasing degree."""
+    """p(t) + sqrt(t) q(t) with p(0) = 0, kept as one polynomial in r = sqrt(t).
 
-    __slots__ = ("p", "q")
+    Coefficient c[n] multiplies r^n, so the even coefficients are those of
+    p, the odd ones those of q, and c[0] = p(0) = 0.  Sums add and products
+    convolve the one array.  The constructor and the read-only views .p and
+    .q speak (p, q), coefficients in increasing degree of t.
+    """
+
+    __slots__ = ("c",)
 
     def __init__(self, p=(), q=()):
-        p = _trim(np.asarray(list(p), dtype=complex))
-        q = _trim(np.asarray(list(q), dtype=complex))
+        p = np.asarray(p, dtype=complex)
+        q = np.asarray(q, dtype=complex)
         if len(p) and p[0] != 0:
             raise ValueError("polynomial part must vanish at t = 0")
-        self.p = p
-        self.q = q
+        c = np.zeros(max(2 * len(p) - 1, 2 * len(q)), dtype=complex)
+        c[0 : 2 * len(p) : 2] = p
+        c[1 : 2 * len(q) : 2] = q
+        self.c = _trim(c)
+
+    @classmethod
+    def _of(cls, c: np.ndarray) -> "HalfPolynomial":
+        """Wrap a coefficient array in r whose c[0] already vanishes."""
+        obj = object.__new__(cls)
+        obj.c = _trim(c)
+        return obj
+
+    @property
+    def p(self) -> np.ndarray:
+        return _view(self.c[0::2])
+
+    @property
+    def q(self) -> np.ndarray:
+        return _view(self.c[1::2])
 
     @classmethod
     def zero(cls) -> "HalfPolynomial":
@@ -137,6 +170,7 @@ class HalfPolynomial:
         return cls(coeffs, ())
 
     def __call__(self, t):
+        # Horner in t on p and on q; a Horner scheme in sqrt(t) rounds differently.
         t = np.asarray(t, dtype=float)
         pv = np.zeros(t.shape, dtype=complex)
         for c in self.p[::-1]:
@@ -149,52 +183,37 @@ class HalfPolynomial:
             return complex(out)
         return out
 
-    @staticmethod
-    def _padd(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def __add__(self, other: "HalfPolynomial") -> "HalfPolynomial":
+        x, y = self.c, other.c
         if len(x) < len(y):
             x, y = y, x
         out = x.copy()
         out[: len(y)] += y
-        return out
-
-    @staticmethod
-    def _pmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if len(x) == 0 or len(y) == 0:
-            return np.zeros(0, dtype=complex)
-        return np.convolve(x, y)
-
-    def __add__(self, other: "HalfPolynomial") -> "HalfPolynomial":
-        return HalfPolynomial(self._padd(self.p, other.p), self._padd(self.q, other.q))
+        return HalfPolynomial._of(out)
 
     def __sub__(self, other: "HalfPolynomial") -> "HalfPolynomial":
         return self + (-1) * other
 
     def __mul__(self, other: "HalfPolynomial") -> "HalfPolynomial":
-        # (p1 + r q1)(p2 + r q2) = p1 p2 + t q1 q2 + r (p1 q2 + q1 p2),  r = sqrt(t)
-        tq = self._pmul(self.q, other.q)
-        if len(tq):
-            tq = np.concatenate([[0j], tq])
-        p = self._padd(self._pmul(self.p, other.p), tq)
-        q = self._padd(self._pmul(self.p, other.q), self._pmul(self.q, other.p))
-        return HalfPolynomial(p, q)
+        if len(self.c) == 0 or len(other.c) == 0:
+            return HalfPolynomial._of(self.c[:0])
+        return HalfPolynomial._of(np.convolve(self.c, other.c))
 
     def __rmul__(self, scalar: complex) -> "HalfPolynomial":
-        return HalfPolynomial(scalar * self.p, scalar * self.q)
+        return HalfPolynomial._of(scalar * self.c)
 
     def __neg__(self) -> "HalfPolynomial":
         return (-1) * self
 
     def conj(self) -> "HalfPolynomial":
         """Pointwise conjugate for real t: conjugate each coefficient."""
-        return HalfPolynomial(np.conj(self.p), np.conj(self.q))
+        return HalfPolynomial._of(np.conj(self.c))
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return (len(self.p) == 0 or np.max(np.abs(self.p)) <= tol) and (
-            len(self.q) == 0 or np.max(np.abs(self.q)) <= tol
-        )
+        return len(self.c) == 0 or np.max(np.abs(self.c)) <= tol
 
     def equals_exact(self, other: "HalfPolynomial") -> bool:
-        return np.array_equal(self.p, other.p) and np.array_equal(self.q, other.q)
+        return np.array_equal(self.c, other.c)
 
     def allclose(self, other: "HalfPolynomial", tol: float = 1e-10) -> bool:
         return (self - other).is_zero(tol)

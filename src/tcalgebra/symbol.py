@@ -101,93 +101,62 @@ class SymbolElement:
         if self.contact != other.contact:
             raise ContactMismatchError("operands live over different contact data")
 
+    def _slots(self) -> tuple:
+        return self.w, self.f, self.g, self.h, self.k
+
     def __add__(self, other: "SymbolElement") -> "SymbolElement":
         self._same_algebra(other)
-        return SymbolElement(
-            self.w + other.w,
-            self.f + other.f,
-            self.g + other.g,
-            self.h + other.h,
-            self.k + other.k,
-            self.contact,
-        )
+        return SymbolElement(*(x + y for x, y in zip(self._slots(), other._slots())), self.contact)
 
     def __sub__(self, other: "SymbolElement") -> "SymbolElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar: complex) -> "SymbolElement":
-        return SymbolElement(
-            scalar * self.w,
-            scalar * self.f,
-            scalar * self.g,
-            scalar * self.h,
-            scalar * self.k,
-            self.contact,
-        )
+        return SymbolElement(*(scalar * x for x in self._slots()), self.contact)
 
     def __neg__(self) -> "SymbolElement":
         return (-1) * self
 
-    def __mul__(self, other: "SymbolElement") -> "SymbolElement":
-        """Product in the quotient algebra.
+    def _interval_parts(self) -> tuple:
+        """d = (w(zeta), w(eta)) and A = [[g, h], [k, f]]; the interval symbol is diag(d) + A."""
+        d = (self.w(self.contact.zeta), self.w(self.contact.eta))
+        return d, ((self.g, self.h), (self.k, self.f))
 
-        The cross terms follow from u f(x*x) = f(xx*) u, x^2 = (x*)^2 = 0,
-        f(x*x) g(xx*) = 0 and t_w x = w(zeta) x, x t_w = w(eta) x.
+    def __mul__(self, other: "SymbolElement") -> "SymbolElement":
+        """Product in the quotient algebra: the 2x2 product of the interval symbols.
+
+        (D1 + A)(D2 + B) = D1 D2 + (D1 B + A D2 + A B).  D1 D2 is what w1 w2
+        takes at zeta and eta, so w1 w2 and the entries of D1 B + A D2 + A B
+        make up the product's quintuple.
         """
         self._same_algebra(other)
-        w1z = self.w(self.contact.zeta)
-        w1e = self.w(self.contact.eta)
-        w2z = other.w(other.contact.zeta)
-        w2e = other.w(other.contact.eta)
-        f1, g1, h1, k1 = self.f, self.g, self.h, self.k
-        f2, g2, h2, k2 = other.f, other.g, other.h, other.k
-        return SymbolElement(
-            self.w * other.w,
-            w1e * f2 + w2e * f1 + f1 * f2 + k1 * h2,
-            w1z * g2 + w2z * g1 + g1 * g2 + h1 * k2,
-            w1z * h2 + w2e * h1 + g1 * h2 + h1 * f2,
-            w1e * k2 + w2z * k1 + k1 * g2 + f1 * k2,
-            self.contact,
-        )
+        d1, a = self._interval_parts()
+        d2, b = other._interval_parts()
+        (g, h), (k, f) = [
+            [
+                d1[i] * b[i][j] + d2[j] * a[i][j] + a[i][0] * b[0][j] + a[i][1] * b[1][j]
+                for j in (0, 1)
+            ]
+            for i in (0, 1)
+        ]
+        return SymbolElement(self.w * other.w, f, g, h, k, self.contact)
 
     def adjoint(self) -> "SymbolElement":
         """Conjugate every slot; the two off-diagonal slots trade places."""
-        return SymbolElement(
-            self.w.conj(),
-            self.f.conj(),
-            self.g.conj(),
-            self.k.conj(),
-            self.h.conj(),
-            self.contact,
-        )
+        w, f, g, h, k = self._slots()
+        return SymbolElement(*(x.conj() for x in (w, f, g, k, h)), self.contact)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return (
-            self.w.is_zero(tol)
-            and self.f.is_zero(tol)
-            and self.g.is_zero(tol)
-            and self.h.is_zero(tol)
-            and self.k.is_zero(tol)
-        )
+        return all(x.is_zero(tol) for x in self._slots())
 
     def equals_exact(self, other: "SymbolElement") -> bool:
-        return (
-            self.contact == other.contact
-            and self.w.equals_exact(other.w)
-            and self.f.equals_exact(other.f)
-            and self.g.equals_exact(other.g)
-            and self.h.equals_exact(other.h)
-            and self.k.equals_exact(other.k)
+        return self.contact == other.contact and all(
+            x.equals_exact(y) for x, y in zip(self._slots(), other._slots())
         )
 
     def allclose(self, other: "SymbolElement", tol: float = 1e-10) -> bool:
-        return (
-            self.contact == other.contact
-            and self.w.allclose(other.w, tol)
-            and self.f.allclose(other.f, tol)
-            and self.g.allclose(other.g, tol)
-            and self.h.allclose(other.h, tol)
-            and self.k.allclose(other.k, tol)
+        return self.contact == other.contact and all(
+            x.allclose(y, tol) for x, y in zip(self._slots(), other._slots())
         )
 
     def to_json_dict(self) -> dict:
@@ -284,11 +253,6 @@ def phi_lambda(b: SymbolElement, lam: LambdaPoint) -> np.ndarray:
             raise ValueError("circle points exclude zeta and eta; use the triple point")
         return b.w(lamv) * np.eye(2, dtype=complex)
     raise ValueError(f"unknown point kind {lam.kind!r}")
-
-
-def operator_norm(mat: np.ndarray) -> float:
-    """Largest singular value of a 2x2 matrix."""
-    return float(np.linalg.norm(mat, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -536,33 +536,20 @@ def claim_ac11(trials: int = 200, seed: int = 20260809) -> list[ClaimResult]:
             exact += 1
     roundtrip_ok = exact == trials
 
-    # linear independence of the generator quintuples: each of these distinct
-    # (slot, degree) pairs is realized by one word with that single monomial
+    # linear independence of the generator quintuples: each word's quintuple
+    # is the one expected monomial in its slot and zero in the other slots
+    u = 1 / contact.s
+    table = [("f", "*".join(["S*C"] * m), HalfPolynomial.t_power(m, u**m)) for m in range(1, 5)]
+    table += [("g", "*".join(["C*S"] * m), HalfPolynomial.t_power(m, u**m)) for m in range(1, 5)]
+    table += [("h", "C" + "*S*C" * m, HalfPolynomial((), [0] * m + [u**m])) for m in range(4)]
+    table += [("k", "S" + "*C*S" * m, HalfPolynomial((), [0] * m + [u ** (m + 1)])) for m in range(4)]
     independent = True
-    gens = []
-    for m in range(1, 5):
-        gens.append(("f", m))
-        gens.append(("g", m))
-    for m in range(0, 4):
-        gens.append(("h", m))
-        gens.append(("k", m))
-    for slot, m in gens:
-        if slot == "f":
-            b = _normalize0("S*C" + "*S*C" * (m - 1))
-            ref = HalfPolynomial.t_power(m, (1 / contact.s) ** m)
-            independent &= b.f.equals_exact(ref) and b.g.is_zero() and b.h.is_zero() and b.k.is_zero()
-        elif slot == "g":
-            b = _normalize0("C*S" + "*C*S" * (m - 1))
-            ref = HalfPolynomial.t_power(m, (1 / contact.s) ** m)
-            independent &= b.g.equals_exact(ref) and b.f.is_zero() and b.h.is_zero() and b.k.is_zero()
-        elif slot == "h":
-            b = _normalize0("C" + "*S*C" * m)
-            ref = HalfPolynomial((), [0] * m + [(1 / contact.s) ** m])
-            independent &= b.h.allclose(ref, 0.0) and b.f.is_zero() and b.g.is_zero() and b.k.is_zero()
-        else:
-            b = _normalize0("S" + "*C*S" * m)
-            ref = HalfPolynomial((), [0] * m + [(1 / contact.s) ** (m + 1)])
-            independent &= b.k.allclose(ref, 0.0) and b.f.is_zero() and b.g.is_zero() and b.h.is_zero()
+    for slot, word, monomial in table:
+        b = _normalize0(word)
+        independent &= all(
+            getattr(b, x).equals_exact(monomial) if x == slot else getattr(b, x).is_zero()
+            for x in "fghk"
+        )
 
     return [
         ClaimResult(

@@ -202,3 +202,22 @@ def test_sizes_only_checked_by_verify(phi0_file, argv):
 
 def test_missing_map_file(capsys):
     assert main(["analyze", "--map", "/nonexistent/map.json"]) == 1
+
+
+@pytest.mark.parametrize("content, key", [
+    ([1, 2], None),
+    ({"a": 5, "b": [1, 0], "c": [0, 0], "d": [2, 0]}, "'a'"),
+    ({"a": [-1, 0], "b": [-1, 0], "d": [2, 0]}, "'c'"),
+    ({"a": [-1, 0], "b": [-1], "c": [0, 0], "d": [2, 0]}, "'b'"),
+])
+@pytest.mark.parametrize("command", [["analyze"], ["normalize", "--expr", "C"]])
+def test_malformed_map_file(tmp_path, capsys, content, key, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    assert main([command[0], "--map", str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0]
+    assert key is None or f"key {key}" in lines[0]
