@@ -9,14 +9,13 @@ together with the positive scalar s = 1/|phi'(zeta)| that couples the two
 maps at the level of composition operators.
 """
 
-import cmath
 import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 
 class DegenerateMapError(ValueError):
@@ -74,7 +73,7 @@ class MapClass:
     kind: MapKind
     contact: ContactData | None = None
     parabolic: bool = False
-    automorphism_kind: str | None = None  # elliptic | parabolic | hyperbolic
+    automorphism_kind: str | None = None  # identity | elliptic | parabolic | hyperbolic
 
 
 @dataclass(frozen=True)
@@ -150,19 +149,19 @@ class MoebiusMap:
             a.conjugate(), -c.conjugate(), -b.conjugate(), d.conjugate()
         )
 
-    def approx_equal(self, other: "MoebiusMap", tol: Tolerances = TOL) -> bool:
+    def approx_equal(self, other: "MoebiusMap") -> bool:
         """Projective equality: the coefficient quadruples are proportional."""
         v = np.array(self.coeffs())
         w = np.array(other.coeffs())
         norm = np.linalg.norm(v) * np.linalg.norm(w)
         for i in range(4):
             for j in range(i + 1, 4):
-                if abs(v[i] * w[j] - v[j] * w[i]) > tol.projective * norm:
+                if abs(v[i] * w[j] - v[j] * w[i]) > TOL.projective * norm:
                     return False
         return True
 
-    def commutes_with(self, other: "MoebiusMap", tol: Tolerances = TOL) -> bool:
-        return self.compose(other).approx_equal(other.compose(self), tol)
+    def commutes_with(self, other: "MoebiusMap") -> bool:
+        return self.compose(other).approx_equal(other.compose(self))
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,7 +207,7 @@ def rotation(alpha: complex) -> MoebiusMap:
     return MoebiusMap(alpha, 0, 0, 1)
 
 
-def boundary_contact(m: MoebiusMap, tol: Tolerances = TOL) -> ContactData | None:
+def boundary_contact(m: MoebiusMap) -> ContactData | None:
     """Contact data of a non-automorphism self-map, or None if sup |phi| < 1.
 
     With the pole outside the closed disk (|d| > |c|), on the circle
@@ -224,12 +223,12 @@ def boundary_contact(m: MoebiusMap, tol: Tolerances = TOL) -> ContactData | None
         raise NotSelfMapError("the pole of phi lies in the closed disk")
     A = a * b.conjugate() - c * d.conjugate()
     B = abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2
-    if abs(A) <= tol.contact and abs(B) <= tol.contact:
+    if abs(A) <= TOL.contact and abs(B) <= TOL.contact:
         raise AutomorphismError("|phi| is identically 1 on the circle")
     excess = B + 2 * abs(A)
-    if excess > tol.contact:
+    if excess > TOL.contact:
         raise NotSelfMapError("|phi| exceeds 1 on an arc of the circle")
-    if excess < -tol.contact:
+    if excess < -TOL.contact:
         return None
     zeta = -B / (2 * A)
     zeta = zeta / abs(zeta)
@@ -239,59 +238,68 @@ def boundary_contact(m: MoebiusMap, tol: Tolerances = TOL) -> ContactData | None
     return ContactData(zeta=zeta, eta=eta, dphi=dphi, s=1.0 / abs(dphi))
 
 
-def _fixed_points(m: MoebiusMap) -> list[complex]:
-    a, b, c, d = m.normalized().coeffs()
-    if abs(c) < 1e-14:
-        if abs(d - a) < 1e-14:
-            return []  # identity: every point fixed
-        return [b / (d - a)]
-    disc = (d - a) ** 2 + 4 * b * c
-    sq = cmath.sqrt(disc)
-    return [((a - d) + sq) / (2 * c), ((a - d) - sq) / (2 * c)]
+# Rounding budget of a normalized coefficient: the error of 64 operations at
+# the scale of the largest one.  4 * _ROUNDING exceeds 1e-14, so every map
+# whose two fixed points agree to 1e-7 (|(a-d)^2 + 4bc| <= 1e-14 |c|^2)
+# stays parabolic.
+_ROUNDING = 64 * 2.0**-53
 
 
-def _automorphism_kind(m: MoebiusMap) -> str:
-    fixed = _fixed_points(m)
-    if not fixed:
+def _trace_kind(a: complex, b: complex, c: complex, d: complex) -> str:
+    """identity, parabolic, elliptic or hyperbolic, from tau = (a+d)^2/(ad-bc).
+
+    a, b, c, d are the coefficients of a normalized map.  It has a double
+    fixed point exactly when tau - 4 = ((a-d)^2 + 4bc)/(ad-bc) vanishes; for
+    an automorphism tau is real, and the map is elliptic below 4 and
+    hyperbolic above.  At a double fixed point the partial derivatives of
+    tau in a, d, b, c are 2(a-d), -2(a-d), 4c and 4b over ad - bc, so moving
+    each normalized coefficient by _ROUNDING moves tau by at most
+    4 _ROUNDING (|a-d| + |b| + |c|)/|ad-bc|: within that band the map is
+    parabolic.  The identity is a - d, b and c within _ROUNDING; a rotation
+    (b = c = 0) is elliptic.
+    """
+    if max(abs(a - d), abs(b), abs(c)) <= _ROUNDING:
         return "identity"
-    if len(fixed) == 1:
-        # single finite fixed point (c = 0 case): rotation-like around it
+    if b == c == 0:
         return "elliptic"
-    z1, z2 = fixed
-    if abs(z1 - z2) <= 1e-7:
+    det = a * d - b * c
+    excess = ((a - d) ** 2 + 4 * b * c) / det
+    if abs(excess) <= 4 * _ROUNDING * (abs(a - d) + abs(b) + abs(c)) / abs(det):
         return "parabolic"
-    on_circle = [abs(abs(z) - 1) <= 1e-7 for z in (z1, z2)]
-    return "hyperbolic" if all(on_circle) else "elliptic"
+    return "hyperbolic" if excess.real > 0 else "elliptic"
 
 
-def classify(m: MoebiusMap, tol: Tolerances = TOL) -> MapClass:
+def classify(m: MoebiusMap) -> MapClass:
     """Sort a map into not-self-map / strict contraction / contact / automorphism."""
     mn = m.normalized()
     try:
-        contact = boundary_contact(mn, tol)
+        contact = boundary_contact(mn)
     except NotSelfMapError:
         return MapClass(MapKind.NOT_SELF_MAP)
     except AutomorphismError:
-        return MapClass(MapKind.AUTOMORPHISM, automorphism_kind=_automorphism_kind(mn))
+        return MapClass(MapKind.AUTOMORPHISM, automorphism_kind=_trace_kind(*mn.coeffs()))
     if contact is None:
         return MapClass(MapKind.STRICT_CONTRACTION)
     return MapClass(MapKind.CONTACT, contact=contact, parabolic=contact.parabolic)
 
 
-def parabolic_translation(m: MoebiusMap, tol: Tolerances = TOL) -> complex:
+def parabolic_translation(m: MoebiusMap) -> complex:
     """Translation number of a parabolic map under (eta+z)/(eta-z) coordinates.
 
     The value t satisfies Phi(m(z)) = Phi(z) + t for every z, where
     Phi(z) = (eta + z)/(eta - z) and eta is the boundary fixed point;
     constancy is asserted at three sample points.  Re t >= 0 always, with
-    Re t = 0 exactly for parabolic automorphisms.
+    Re t = 0 exactly for parabolic automorphisms.  The map is parabolic by
+    the test of _trace_kind, and eta = (a-d)/(2c) is its double root.
     """
-    fixed = _fixed_points(m)
-    if not fixed:
+    a, b, c, d = m.normalized().coeffs()
+    kind = _trace_kind(a, b, c, d)
+    if kind == "identity":
         raise NotParabolicError("identity map has no translation number")
-    if len(fixed) == 2 and abs(fixed[0] - fixed[1]) > 1e-6:
+    if kind != "parabolic":
         raise NotParabolicError("map has two distinct fixed points")
-    eta = fixed[0] if len(fixed) == 1 else (fixed[0] + fixed[1]) / 2
+    # the double root; with c = 0 the map is a translation fixing infinity
+    eta = (a - d) / (2 * c) if c else np.inf
     if abs(abs(eta) - 1) > 1e-6:
         raise NotParabolicError("fixed point is not on the unit circle")
     eta = eta / abs(eta)
@@ -303,9 +311,9 @@ def parabolic_translation(m: MoebiusMap, tol: Tolerances = TOL) -> complex:
     values = [cayley(m(z)) - cayley(z) for z in samples]
     spread = max(abs(v - values[0]) for v in values)
     scale = max(1.0, abs(values[0]))
-    if spread > tol.constancy * scale:
+    if spread > TOL.constancy * scale:
         raise NotParabolicError(f"translation number is not constant (spread {spread:.2e})")
     t = values[0]
-    if t.real < -tol.constancy:
+    if t.real < -TOL.constancy:
         raise NotParabolicError("translation has negative real part")
     return t

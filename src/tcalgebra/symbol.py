@@ -26,7 +26,7 @@ import numpy as np
 
 from .moebius import ContactData
 from .rings import HalfPolynomial, TrigPolynomial
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 
 class ContactMismatchError(ValueError):
@@ -437,21 +437,21 @@ def essential_norm(b: SymbolElement, resolution: int = 1000) -> float:
     return essential_norm_report(b, resolution).value
 
 
-def is_fredholm(b: SymbolElement, resolution: int = 1000, tol: Tolerances = TOL) -> bool:
+def is_fredholm(b: SymbolElement, resolution: int = 1000) -> bool:
     """Invertibility of the symbol: w stays away from 0 on the circle and
     the interval matrices stay away from singularity (0 outside the
     essential spectrum, up to the threshold)."""
     circle, interval = _refined_max(b, resolution, -1, lambda ts: -_interval_dets(b, ts))
-    return -circle[0] > tol.fredholm and -interval[0] > tol.fredholm
+    return -circle[0] > TOL.fredholm and -interval[0] > TOL.fredholm
 
 
 # ---------------------------------------------------------------------------
 # the center
 
 
-def is_central(b: SymbolElement, tol: Tolerances = TOL) -> bool:
+def is_central(b: SymbolElement) -> bool:
     """Central elements: no off-diagonal part, f = g, and w(zeta) = w(eta)."""
-    eps = tol.coefficient
+    eps = TOL.coefficient
     return (
         b.h.is_zero(eps)
         and b.k.is_zero(eps)
@@ -460,13 +460,13 @@ def is_central(b: SymbolElement, tol: Tolerances = TOL) -> bool:
     )
 
 
-def gelfand_value(b: SymbolElement, lam: LambdaPoint, tol: Tolerances = TOL) -> complex:
+def gelfand_value(b: SymbolElement, lam: LambdaPoint) -> complex:
     """Gelfand transform of a central element at a point of the symbol space.
 
     w extends to the interval by its common boundary value w(zeta) = w(eta);
     f extends to the circle by zero.
     """
-    if not is_central(b, tol):
+    if not is_central(b):
         raise NotCentralError("element is not in the center")
     if lam.kind == "circle":
         return b.w(complex(lam.value))

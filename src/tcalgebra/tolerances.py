@@ -5,7 +5,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """One record for every threshold; all modules read from here.
+    """The shared thresholds, read through TOL; no function takes an override.
+
+    A few inline thresholds remain in moebius, symbol and oracle.
 
     projective        -- relative tolerance for projective equality of
                          Moebius coefficient quadruples

@@ -6,6 +6,11 @@ exact symbol calculus; AC9 and AC10 compare it against the finite-section
 oracle.  Every claim reports the measured quantity next to its threshold,
 or, for the finite-section rate claims, next to the criterion in ``extra``.
 
+The battery is one table, ``MANIFEST``, from group id to rows.  A row
+names a claim id, the map it runs on, a criterion and its arguments;
+``run_claims`` calls ``criterion(claim id, map, sizes, *args)`` with the
+same ``Sizes`` for every row, and collects the ClaimResults it returns.
+
 The finite-section claims state what the exact compressions show, since
 the paper fixes only limits and no finite-N value.  A compact coset's
 column norms decay like n^(-3/4) and a nonzero one's like n^(-1/4), so
@@ -21,6 +26,8 @@ interval widened past the essential spectrum.
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,8 @@ from .symbol import LambdaPoint, SymbolElement, TRIPLE_POINT, phi_lambda
 PHI0 = MoebiusMap(-1, -1, 0, 2)
 RHO0 = MoebiusMap(1, 1, 0, 2)
 SQRT2 = math.sqrt(2.0)
+# Residual allowed to every closed-form spectrum (AC2-AC6, AC7.deform_*)
+SPECTRUM_TOL = 1e-9
 
 
 @dataclass
@@ -58,27 +67,46 @@ class ClaimResult:
         }
 
 
-def _contact0():
-    contact = boundary_contact(PHI0)
+class Sizes(NamedTuple):
+    """The sizes every row receives: oracle N, AC9 window, sweep resolution."""
+    n: int
+    window: int
+    resolution: int
+
+
+class Row(NamedTuple):
+    """One row of the battery: criterion(cid, phi, sizes, *args) -> [ClaimResult]."""
+    cid: str
+    phi: MoebiusMap
+    criterion: Callable[..., list[ClaimResult]]
+    args: tuple = ()
+
+
+def _contact(phi: MoebiusMap):
+    contact = boundary_contact(phi)
     assert contact is not None
     return contact
 
 
-def _normalize0(text: str) -> SymbolElement:
-    return rewriter.normalize(rewriter.parse(text), _contact0())
+def _normalize(text: str, phi: MoebiusMap) -> SymbolElement:
+    return rewriter.normalize(rewriter.parse(text), _contact(phi))
 
 
-def _interval_points(b: SymbolElement, resolution: int) -> np.ndarray:
-    return np.concatenate(symbol.spectrum_branches(b, resolution)[1:])
+def _bounded(
+    cid: str, measured: float, threshold: float, description: str,
+    ok: bool = True, extra: dict | None = None,
+) -> list[ClaimResult]:
+    """The one result of a claim that holds when measured <= threshold and ok."""
+    passed = measured <= threshold and ok
+    return [ClaimResult(cid, passed, description, measured, threshold, extra=extra or {})]
 
 
 # -----------------------------------------------------------------------
 # AC1: Krein adjoint, contact data, scalar s, parabolic translation
 
 
-def claim_ac1(resolution: int = 1000) -> list[ClaimResult]:
-    tol = 1e-12
-    sigma = PHI0.krein_adjoint
+def _krein_contact(cid: str, phi: MoebiusMap, sizes: Sizes) -> list[ClaimResult]:
+    sigma = phi.krein_adjoint
     expected_sigma = MoebiusMap(-1, 0, 1, 2)
     v = np.array(sigma.coeffs())
     w = np.array(expected_sigma.coeffs())
@@ -86,128 +114,88 @@ def claim_ac1(resolution: int = 1000) -> list[ClaimResult]:
         abs(v[i] * w[j] - v[j] * w[i]) for i in range(4) for j in range(i + 1, 4)
     )
 
-    contact = _contact0()
-    dprod = abs(PHI0.derivative(contact.zeta) * sigma.derivative(contact.eta) - 1)
+    contact = _contact(phi)
+    dprod = abs(phi.derivative(contact.zeta) * sigma.derivative(contact.eta) - 1)
 
-    a, b, c, d = PHI0.coeffs()
+    a, b, c, d = phi.coeffs()
     quotient = (
         c.conjugate() * contact.zeta.conjugate() + d.conjugate()
     ) / (-b.conjugate() * contact.eta + d.conjugate())
     s_dev = max(abs(contact.s - 2.0), abs(quotient - 2.0))
     s_alt = abs(abs(sigma.derivative(contact.eta)) - 2.0)
 
-    tau = PHI0.compose(sigma)
+    tau = phi.compose(sigma)
     tau_class = classify(tau)
     translation = parabolic_translation(tau)
     t_dev = abs(translation - 2.0)
 
-    measured = max(cross, dprod, s_dev, s_alt, t_dev)
-    passed = (
-        measured <= tol
-        and tau_class.kind.value == "contact"
-        and tau_class.parabolic
+    return _bounded(
+        cid,
+        max(cross, dprod, s_dev, s_alt, t_dev),
+        1e-12,
+        "Krein adjoint -z/(z+2); phi'(1)sigma'(-1)=1; s=2 both ways; "
+        "phi.sigma parabolic with translation 2",
+        ok=tau_class.kind.value == "contact" and tau_class.parabolic,
+        extra={"translation": [translation.real, translation.imag]},
     )
-    return [
-        ClaimResult(
-            "AC1",
-            passed,
-            "Krein adjoint -z/(z+2); phi'(1)sigma'(-1)=1; s=2 both ways; "
-            "phi.sigma parabolic with translation 2",
-            measured=measured,
-            threshold=tol,
-            extra={"translation": [translation.real, translation.imag]},
-        )
-    ]
 
 
 # -----------------------------------------------------------------------
-# AC2: real part of the composition operator
+# AC2-AC6: closed-form essential spectra
+
+# Which of spectrum_branches' (circle, interval+, interval-) a claim judges
+_WHOLE = slice(0, 3)
+_INTERVAL = slice(1, 3)
 
 
-def claim_ac2(resolution: int = 1000) -> list[ClaimResult]:
-    b = _normalize0("C + C'")
-    pts = symbol.essential_spectrum(b, resolution)
-    imag_max = float(np.max(np.abs(pts.imag)))
-    lo, hi = float(np.min(pts.real)), float(np.max(pts.real))
-    endpoint_dev = max(abs(lo + SQRT2), abs(hi - SQRT2))
+def _spectrum(
+    cid: str, phi: MoebiusMap, sizes: Sizes,
+    expr: str, part: slice, check: Callable, description: str,
+) -> list[ClaimResult]:
+    """Judge the part of the spectrum of expr by check(points, resolution).
 
-    xs = np.sort(pts.real)
-    gap = float(np.max(np.diff(xs)))
-    targets = np.linspace(-SQRT2, SQRT2, 1001)
-    fill = float(np.max(np.min(np.abs(targets[:, None] - xs[None, :]), axis=1)))
-
-    passed = imag_max <= 1e-9 and endpoint_dev <= 1e-9 and fill <= gap + 1e-12
-    return [
-        ClaimResult(
-            "AC2",
-            passed,
-            "sigma_e(C + C') = [-sqrt(2), sqrt(2)]: real, endpoints to 1e-9, "
-            "no holes beyond the image-grid spacing",
-            measured=max(imag_max, endpoint_dev),
-            threshold=1e-9,
-            extra={"fill": fill, "image_gap": gap},
-        )
-    ]
+    The check returns the residual from the closed form, which must be at
+    most SPECTRUM_TOL, whether its other conditions hold, and ``extra``.
+    """
+    branches = symbol.spectrum_branches(_normalize(expr, phi), sizes.resolution)
+    residual, ok, extra = check(np.concatenate(branches[part]), sizes.resolution)
+    return _bounded(cid, residual, SPECTRUM_TOL, description, ok, extra)
 
 
-# -----------------------------------------------------------------------
-# AC3: self-commutator and anti-commutator endpoints
+def _segment(lo: float, hi: float) -> Callable:
+    """Check that the points are real with extremes lo and hi."""
+
+    def check(pts, resolution):
+        ends = abs(float(np.min(pts.real)) - lo), abs(float(np.max(pts.real)) - hi)
+        return max(float(np.max(np.abs(pts.imag))), *ends), True, {}
+
+    return check
 
 
-def claim_ac3(resolution: int = 1000) -> list[ClaimResult]:
-    out = []
-    for expr, lo_t, hi_t, label in (
-        ("C'*C - C*C'", -2.0, 2.0, "self-commutator fills [-2, 2]"),
-        ("C'*C + C*C'", 0.0, 2.0, "anti-commutator fills [0, 2]"),
-    ):
-        pts = symbol.essential_spectrum(_normalize0(expr), resolution)
-        dev = max(
-            float(np.max(np.abs(pts.imag))),
-            abs(float(np.min(pts.real)) - lo_t),
-            abs(float(np.max(pts.real)) - hi_t),
-        )
-        out.append(
-            ClaimResult(
-                f"AC3.{'self' if lo_t < 0 else 'anti'}",
-                dev <= 1e-9,
-                label,
-                measured=dev,
-                threshold=1e-9,
-            )
-        )
-    return out
+def _filled_segment(lo: float, hi: float) -> Callable:
+    """_segment, with no hole in [lo, hi] wider than the image-grid spacing."""
+
+    def check(pts, resolution):
+        xs = np.sort(pts.real)
+        gap = float(np.max(np.diff(xs)))
+        targets = np.linspace(lo, hi, 1001)
+        fill = float(np.max(np.min(np.abs(targets[:, None] - xs[None, :]), axis=1)))
+        residual = _segment(lo, hi)(pts, resolution)[0]
+        return residual, fill <= gap + 1e-12, {"fill": fill, "image_gap": gap}
+
+    return check
 
 
-# -----------------------------------------------------------------------
-# AC4: parabola y^2 +- iy
-
-
-def claim_ac4(resolution: int = 1000) -> list[ClaimResult]:
-    b = _normalize0("S*C + C*S + C - S")
-    pts = _interval_points(b, resolution)
-    residual = float(np.max(np.abs(pts.real - pts.imag**2)))
+def _parabola(pts, resolution):
+    """The points lie on x = y^2 with |y| <= 1."""
     y_range = float(np.max(np.abs(pts.imag)))
-    passed = residual <= 1e-9 and y_range <= 1.0 + 1e-9
-    return [
-        ClaimResult(
-            "AC4",
-            passed,
-            "interval branch of C_{phi.sigma}+C_{sigma.phi}+C-S on the curve "
-            "y^2 +- iy, |y| <= 1",
-            measured=residual,
-            threshold=1e-9,
-            extra={"max_abs_y": y_range},
-        )
-    ]
+    residual = float(np.max(np.abs(pts.real - pts.imag**2)))
+    return residual, y_range <= 1.0 + SPECTRUM_TOL, {"max_abs_y": y_range}
 
 
-# -----------------------------------------------------------------------
-# AC5: two perpendicular segments
-
-
-def claim_ac5(resolution: int = 1000) -> list[ClaimResult]:
-    b = _normalize0("S*C - C*S + 0.5*C - S")
-    pts = _interval_points(b, resolution)
+def _two_segments(pts, resolution):
+    """The points lie on [-1/sqrt2, 1/sqrt2] U [-i/4, i/4] and reach its
+    four ends to two grid spacings."""
     real_res = np.hypot(pts.imag, np.maximum(np.abs(pts.real) - 1 / SQRT2, 0.0))
     imag_res = np.hypot(pts.real, np.maximum(np.abs(pts.imag) - 0.25, 0.0))
     residual = float(np.max(np.minimum(real_res, imag_res)))
@@ -220,46 +208,21 @@ def claim_ac5(resolution: int = 1000) -> list[ClaimResult]:
         and float(np.max(pts.imag)) >= 0.25 - acc
         and float(np.min(pts.imag)) <= -0.25 + acc
     )
-    passed = residual <= 1e-9 and extremes
-    return [
-        ClaimResult(
-            "AC5",
-            passed,
-            "interval branch on [-1/sqrt2, 1/sqrt2] U [-i/4, i/4] with extremes attained",
-            measured=residual,
-            threshold=1e-9,
-            extra={"grid_accuracy": acc},
-        )
-    ]
+    return residual, extremes, {"grid_accuracy": acc}
 
 
-# -----------------------------------------------------------------------
-# AC6: circle of radius 1/2 around 1/2
-
-
-def claim_ac6(resolution: int = 1000) -> list[ClaimResult]:
-    b = _normalize0("2*S*C + C - S")
-    pts = _interval_points(b, resolution)
-    residual = float(np.max(np.abs(np.abs(pts - 0.5) - 0.5)))
-    return [
-        ClaimResult(
-            "AC6",
-            residual <= 1e-9,
-            "interval branch of 2C_{phi.sigma}+C-S on the circle |z - 1/2| = 1/2",
-            measured=residual,
-            threshold=1e-9,
-        )
-    ]
+def _half_circle(pts, resolution):
+    """The points lie on the circle |z - 1/2| = 1/2."""
+    return float(np.max(np.abs(np.abs(pts - 0.5) - 0.5))), True, {}
 
 
 # -----------------------------------------------------------------------
 # AC7: essential norm sqrt(3) and the deformed square-root arcs
 
 
-def claim_ac7(resolution: int = 1000) -> list[ClaimResult]:
-    contact = _contact0()
-    b = _normalize0("T{z} + C + C'")
-    norm = symbol.essential_norm(b, resolution)
+def _essential_norm(cid: str, phi: MoebiusMap, sizes: Sizes) -> list[ClaimResult]:
+    contact = _contact(phi)
+    norm = symbol.essential_norm(_normalize("T{z} + C + C'", phi), sizes.resolution)
 
     # closed form for ||T_z + C + C'||_e^2 over this contact data
     s = contact.s
@@ -267,55 +230,39 @@ def claim_ac7(resolution: int = 1000) -> list[ClaimResult]:
         1.0 + s + math.sqrt(2.0 * s) * math.sqrt(1.0 + (contact.zeta * contact.eta).real)
     )
     dev = max(abs(norm - math.sqrt(3.0)), abs(norm - closed))
-    out = [
-        ClaimResult(
-            "AC7.norm",
-            dev <= 1e-6,
-            "essential norm of T_z + C + C' equals sqrt(3) and the closed form",
-            measured=dev,
-            threshold=1e-6,
-        )
-    ]
+    return _bounded(
+        cid, dev, 1e-6, "essential norm of T_z + C + C' equals sqrt(3) and the closed form"
+    )
 
-    ts = np.linspace(0.0, contact.s, resolution)
-    for r in (0.0, 1.0):
-        w = TrigPolynomial({1: -r * (1 + 1j) / SQRT2})
-        br = (
-            symbol.embed_toeplitz(w, contact)
-            + symbol.embed_cphi(contact)
-            + symbol.embed_cphi(contact).adjoint()
-        )
-        _, plus, minus = symbol.spectrum_branches(br, resolution)
-        expected = np.sqrt(ts + 1j * r**2)
-        residual = max(
-            float(np.max(np.abs(plus - expected))),
-            float(np.max(np.abs(minus + expected))),
-        )
-        out.append(
-            ClaimResult(
-                f"AC7.deform_r{int(r)}",
-                residual <= 1e-9,
-                f"interval branch of T_w + C + C' equals +-sqrt(t + {int(r)}i)",
-                measured=residual,
-                threshold=1e-9,
-            )
-        )
-    return out
+
+def _deformed_arcs(cid: str, phi: MoebiusMap, sizes: Sizes, r: float) -> list[ClaimResult]:
+    contact = _contact(phi)
+    w = TrigPolynomial({1: -r * (1 + 1j) / SQRT2})
+    cphi = symbol.embed_cphi(contact)
+    br = symbol.embed_toeplitz(w, contact) + cphi + cphi.adjoint()
+    _, plus, minus = symbol.spectrum_branches(br, sizes.resolution)
+    expected = np.sqrt(np.linspace(0.0, contact.s, sizes.resolution) + 1j * r**2)
+    residual = max(float(np.max(np.abs(plus - expected))), float(np.max(np.abs(minus + expected))))
+    return _bounded(
+        cid, residual, SPECTRUM_TOL,
+        f"interval branch of T_w + C + C' equals +-sqrt(t + {int(r)}i)",
+    )
 
 
 # -----------------------------------------------------------------------
-# AC8: the symbol map is a *-homomorphism
+# AC8 and AC11: random elements
 
 
-def _random_element(rng: np.random.Generator, contact) -> SymbolElement:
+def _random_element(rng: np.random.Generator, contact, degrees) -> SymbolElement:
+    """w with coefficients at z^-2..z^2, and slots f, g, h, k whose p (after
+    its zero constant term) and q have the lengths given in degrees."""
+
     def cx(n):
         return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.5
 
     w = TrigPolynomial({n: c for n, c in zip(range(-2, 3), cx(5))})
-    def half():
-        return HalfPolynomial(np.concatenate([[0], cx(2)]), cx(2))
-
-    return SymbolElement(w, half(), half(), half(), half(), contact)
+    slots = [HalfPolynomial(np.concatenate([[0], cx(p)]), cx(q)) for p, q in degrees]
+    return SymbolElement(w, *slots, contact)
 
 
 def _random_point(rng: np.random.Generator, s: float) -> LambdaPoint:
@@ -327,31 +274,62 @@ def _random_point(rng: np.random.Generator, s: float) -> LambdaPoint:
     return LambdaPoint.interval(rng.uniform(1e-6, s))
 
 
-def claim_ac8(resolution: int = 1000, trials: int = 1000, seed: int = 20260809) -> list[ClaimResult]:
-    contact = _contact0()
+def _homomorphism(
+    cid: str, phi: MoebiusMap, sizes: Sizes, trials: int, seed: int
+) -> list[ClaimResult]:
+    contact = _contact(phi)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        b1 = _random_element(rng, contact)
-        b2 = _random_element(rng, contact)
+        b1 = _random_element(rng, contact, [(2, 2)] * 4)
+        b2 = _random_element(rng, contact, [(2, 2)] * 4)
         lam = _random_point(rng, contact.s)
         left = phi_lambda(b1 * b2, lam)
         right = phi_lambda(b1, lam) @ phi_lambda(b2, lam)
         star = phi_lambda(b1.adjoint(), lam) - phi_lambda(b1, lam).conj().T
-        worst = max(
-            worst,
-            float(np.max(np.abs(left - right))),
-            float(np.max(np.abs(star))),
+        worst = max(worst, float(np.max(np.abs(left - right))), float(np.max(np.abs(star))))
+    return _bounded(
+        cid, worst, 1e-10,
+        f"{trials} random triples: Phi(b1 b2) = Phi(b1)Phi(b2), Phi(b*) = Phi(b)*",
+    )
+
+
+def _roundtrip(
+    cid: str, phi: MoebiusMap, sizes: Sizes, trials: int, seed: int
+) -> list[ClaimResult]:
+    contact = _contact(phi)
+    rng = np.random.default_rng(seed)
+    exact = 0
+    for _ in range(trials):
+        # elements of the generator ring: f and g in t, h and k in sqrt(t)
+        b = _random_element(rng, contact, [(3, 0), (3, 0), (0, 3), (0, 3)])
+        text = rewriter.to_composition_sum(b)
+        back = rewriter.normalize(rewriter.parse(text), contact)
+        if back.equals_exact(b):
+            exact += 1
+    return _bounded(
+        cid, float(trials - exact), 0.0,
+        f"normalize(parse(to_composition_sum(b))) = b exactly for {trials} random elements",
+    )
+
+
+def _independence(cid: str, phi: MoebiusMap, sizes: Sizes) -> list[ClaimResult]:
+    # linear independence of the generator quintuples: each word's quintuple
+    # is the one expected monomial in its slot and zero in the other slots
+    u = 1 / _contact(phi).s
+    table = [("f", "*".join(["S*C"] * m), HalfPolynomial.t_power(m, u**m)) for m in range(1, 5)]
+    table += [("g", "*".join(["C*S"] * m), HalfPolynomial.t_power(m, u**m)) for m in range(1, 5)]
+    table += [("h", "C" + "*S*C" * m, HalfPolynomial((), [0] * m + [u**m])) for m in range(4)]
+    table += [("k", "S" + "*C*S" * m, HalfPolynomial((), [0] * m + [u ** (m + 1)])) for m in range(4)]
+    independent = True
+    for slot, word, monomial in table:
+        b = _normalize(word, phi)
+        independent &= all(
+            getattr(b, x).equals_exact(monomial) if x == slot else getattr(b, x).is_zero()
+            for x in "fghk"
         )
-    return [
-        ClaimResult(
-            "AC8",
-            worst <= 1e-10,
-            f"{trials} random triples: Phi(b1 b2) = Phi(b1)Phi(b2), Phi(b*) = Phi(b)*",
-            measured=worst,
-            threshold=1e-10,
-        )
-    ]
+    description = "composition-family generators occupy distinct monomial slots"
+    return [ClaimResult(cid, independent, description)]
 
 
 # -----------------------------------------------------------------------
@@ -402,37 +380,19 @@ def decay_claim(
     )
 
 
-def _floor_claim(
-    claim_id: str, expr: str, phi: MoebiusMap, n: int, window: int,
-    threshold: float, below: bool, description: str,
-) -> ClaimResult:
-    floor = float(np.min(oracle.vanishing_sequence(expr, phi, n, window)))
-    return ClaimResult(
-        claim_id,
-        floor < threshold if below else floor > threshold,
-        description,
-        measured=floor,
-        threshold=threshold,
-        n=n,
-        window=window,
-    )
+def _decay(
+    cid: str, phi: MoebiusMap, sizes: Sizes, expr: str, description: str
+) -> list[ClaimResult]:
+    return [decay_claim(cid, expr, phi, sizes.n, sizes.window, description)]
 
 
-def claim_ac9(n: int = 512, window: int = 64) -> list[ClaimResult]:
-    commutator = "T{z}*C - C*T{z}"
-    return [
-        decay_claim("AC9.adjoint", "C' - 2*S", PHI0, n, window,
-                    "C' - 2S has compact remainder: column norms decay "
-                    "faster than n^(-1/2)"),
-        _floor_claim("AC9.toeplitz", "T{z}*T{z^-1+z^2} - T{1+z^3}", PHI0, n, window,
-                     0.01, below=True, description="semi-commutator T_v T_w - T_vw is compact"),
-        decay_claim("AC9.commutator_fix", commutator, RHO0, n, window,
-                    "shift commutator is compact when the contact point is "
-                    "fixed: column norms decay faster than n^(-1/2)"),
-        _floor_claim("AC9.commutator_move", commutator, PHI0, n, window,
-                     0.1, below=False,
-                     description="shift commutator stays essentially nonzero when zeta != eta"),
-    ]
+def _floor(
+    cid: str, phi: MoebiusMap, sizes: Sizes,
+    expr: str, threshold: float, below: bool, description: str,
+) -> list[ClaimResult]:
+    floor = float(np.min(oracle.vanishing_sequence(expr, phi, sizes.n, sizes.window)))
+    passed = floor < threshold if below else floor > threshold
+    return [ClaimResult(cid, passed, description, floor, threshold, sizes.n, sizes.window)]
 
 
 # -----------------------------------------------------------------------
@@ -487,125 +447,90 @@ def fill_claim(
     )
 
 
-def claim_ac10(n: int = 512) -> list[ClaimResult]:
-    sizes = [n // 4, n // 2, n]
-    out = []
-    for name, expr, lo, hi in _AC10_CASES:
-        fill = fill_claim(f"AC10.fill_{name}", expr, PHI0, lo, hi, sizes)
-        fills = list(fill.extra["fills"].values())
-        out.append(fill)
-        out.append(
-            ClaimResult(
-                f"AC10.monotone_{name}",
-                all(b_ <= 1.1 * a_ for a_, b_ in zip(fills, fills[1:])),
-                f"fill distance non-increasing over N={sizes} within 10%",
-                measured=None,
-                threshold=None,
-                n=sizes[-1],
-                extra={"fills": fill.extra["fills"]},
-            )
-        )
-    return out
+def _fill(
+    cid: str, phi: MoebiusMap, sizes: Sizes, expr: str, lo: float, hi: float
+) -> list[ClaimResult]:
+    """fill_claim over N/4, N/2 and N, then the AC10.monotone_* claim on
+    the same fills."""
+    ns = [sizes.n // 4, sizes.n // 2, sizes.n]
+    fill = fill_claim(cid, expr, phi, lo, hi, ns)
+    fills = list(fill.extra["fills"].values())
+    monotone = ClaimResult(
+        cid.replace("fill", "monotone"),
+        all(b_ <= 1.1 * a_ for a_, b_ in zip(fills, fills[1:])),
+        f"fill distance non-increasing over N={ns} within 10%",
+        n=ns[-1],
+        extra={"fills": fill.extra["fills"]},
+    )
+    return [fill, monotone]
 
 
 # -----------------------------------------------------------------------
-# AC11: round trip through the composition-sum normal form
+# The table, in report order; a claim's group is its id up to the first "."
 
+CLAIMS = (
+    Row("AC1", PHI0, _krein_contact),
+    Row("AC2", PHI0, _spectrum, (
+        "C + C'", _WHOLE, _filled_segment(-SQRT2, SQRT2),
+        "sigma_e(C + C') = [-sqrt(2), sqrt(2)]: real, endpoints to 1e-9, "
+        "no holes beyond the image-grid spacing")),
+    Row("AC3.self", PHI0, _spectrum, (
+        "C'*C - C*C'", _WHOLE, _segment(-2.0, 2.0), "self-commutator fills [-2, 2]")),
+    Row("AC3.anti", PHI0, _spectrum, (
+        "C'*C + C*C'", _WHOLE, _segment(0.0, 2.0), "anti-commutator fills [0, 2]")),
+    Row("AC4", PHI0, _spectrum, (
+        "S*C + C*S + C - S", _INTERVAL, _parabola,
+        "interval branch of C_{phi.sigma}+C_{sigma.phi}+C-S on the curve y^2 +- iy, |y| <= 1")),
+    Row("AC5", PHI0, _spectrum, (
+        "S*C - C*S + 0.5*C - S", _INTERVAL, _two_segments,
+        "interval branch on [-1/sqrt2, 1/sqrt2] U [-i/4, i/4] with extremes attained")),
+    Row("AC6", PHI0, _spectrum, (
+        "2*S*C + C - S", _INTERVAL, _half_circle,
+        "interval branch of 2C_{phi.sigma}+C-S on the circle |z - 1/2| = 1/2")),
+    Row("AC7.norm", PHI0, _essential_norm),
+    Row("AC7.deform_r0", PHI0, _deformed_arcs, (0.0,)),
+    Row("AC7.deform_r1", PHI0, _deformed_arcs, (1.0,)),
+    Row("AC8", PHI0, _homomorphism, (1000, 20260809)),
+    Row("AC9.adjoint", PHI0, _decay, (
+        "C' - 2*S", "C' - 2S has compact remainder: column norms decay faster than n^(-1/2)")),
+    Row("AC9.toeplitz", PHI0, _floor, (
+        "T{z}*T{z^-1+z^2} - T{1+z^3}", 0.01, True, "semi-commutator T_v T_w - T_vw is compact")),
+    Row("AC9.commutator_fix", RHO0, _decay, (
+        "T{z}*C - C*T{z}",
+        "shift commutator is compact when the contact point is fixed: column norms decay "
+        "faster than n^(-1/2)")),
+    Row("AC9.commutator_move", PHI0, _floor, (
+        "T{z}*C - C*T{z}", 0.1, False,
+        "shift commutator stays essentially nonzero when zeta != eta")),
+    *(Row(f"AC10.fill_{name}", PHI0, _fill, (expr, lo, hi)) for name, expr, lo, hi in _AC10_CASES),
+    Row("AC11.roundtrip", PHI0, _roundtrip, (200, 20260809)),
+    Row("AC11.independence", PHI0, _independence),
+)
 
-def _random_ring_element(rng: np.random.Generator, contact) -> SymbolElement:
-    def cx(n):
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.5
-
-    w = TrigPolynomial({n: c for n, c in zip(range(-2, 3), cx(5))})
-    f = HalfPolynomial(np.concatenate([[0], cx(3)]), ())
-    g = HalfPolynomial(np.concatenate([[0], cx(3)]), ())
-    h = HalfPolynomial((), cx(3))
-    k = HalfPolynomial((), cx(3))
-    return SymbolElement(w, f, g, h, k, contact)
-
-
-def claim_ac11(trials: int = 200, seed: int = 20260809) -> list[ClaimResult]:
-    contact = _contact0()
-    rng = np.random.default_rng(seed)
-    exact = 0
-    for _ in range(trials):
-        b = _random_ring_element(rng, contact)
-        text = rewriter.to_composition_sum(b)
-        back = rewriter.normalize(rewriter.parse(text), contact)
-        if back.equals_exact(b):
-            exact += 1
-    roundtrip_ok = exact == trials
-
-    # linear independence of the generator quintuples: each word's quintuple
-    # is the one expected monomial in its slot and zero in the other slots
-    u = 1 / contact.s
-    table = [("f", "*".join(["S*C"] * m), HalfPolynomial.t_power(m, u**m)) for m in range(1, 5)]
-    table += [("g", "*".join(["C*S"] * m), HalfPolynomial.t_power(m, u**m)) for m in range(1, 5)]
-    table += [("h", "C" + "*S*C" * m, HalfPolynomial((), [0] * m + [u**m])) for m in range(4)]
-    table += [("k", "S" + "*C*S" * m, HalfPolynomial((), [0] * m + [u ** (m + 1)])) for m in range(4)]
-    independent = True
-    for slot, word, monomial in table:
-        b = _normalize0(word)
-        independent &= all(
-            getattr(b, x).equals_exact(monomial) if x == slot else getattr(b, x).is_zero()
-            for x in "fghk"
-        )
-
-    return [
-        ClaimResult(
-            "AC11.roundtrip",
-            roundtrip_ok,
-            f"normalize(parse(to_composition_sum(b))) = b exactly for {trials} random elements",
-            measured=float(trials - exact),
-            threshold=0.0,
-        ),
-        ClaimResult(
-            "AC11.independence",
-            independent,
-            "composition-family generators occupy distinct monomial slots",
-        ),
-    ]
-
-
-# -----------------------------------------------------------------------
-
-MANIFEST = {
-    "AC1": claim_ac1,
-    "AC2": claim_ac2,
-    "AC3": claim_ac3,
-    "AC4": claim_ac4,
-    "AC5": claim_ac5,
-    "AC6": claim_ac6,
-    "AC7": claim_ac7,
-    "AC8": claim_ac8,
-    "AC9": claim_ac9,
-    "AC10": claim_ac10,
-    "AC11": claim_ac11,
+MANIFEST: dict[str, tuple[Row, ...]] = {
+    gid: tuple(rows) for gid, rows in groupby(CLAIMS, lambda row: row.cid.split(".")[0])
 }
 
 
 def run_claims(
     ids=None, n: int = 512, window: int = 64, resolution: int = 1000
 ) -> list[ClaimResult]:
-    """Run the battery (or a subset of criterion ids) and collect results.
+    """Run the battery (or the groups named in ids) and collect results.
 
-    The sizes are checked before any claim runs: AC9 reads columns below
-    its window, which must stay within n/2 (the oracle's truncation-safe
-    half), and AC10 compresses at n//4, which must be at least 1.
+    Every row gets the same sizes.  They are checked before any claim
+    runs: AC9 reads columns below its window, which must stay within n/2
+    (the oracle's truncation-safe half), and AC10 compresses at n//4,
+    which must be at least 1.  An id that names no group of MANIFEST is
+    a ValueError.
     """
-    selected = {cid: fn for cid, fn in MANIFEST.items() if ids is None or cid in ids}
-    if "AC9" in selected and window > n // 2:
+    unknown = [cid for cid in ids or () if cid not in MANIFEST]
+    if unknown:
+        raise ValueError(f"unknown claim ids {unknown}; the groups are {', '.join(MANIFEST)}")
+    groups = [gid for gid in MANIFEST if ids is None or gid in ids]
+    if "AC9" in groups and window > n // 2:
         raise ValueError(f"AC9: window must not exceed N/2 (window {window}, N {n})")
-    if "AC10" in selected and n < 4:
+    if "AC10" in groups and n < 4:
         raise ValueError(f"AC10: N must be at least 4; its smallest size N//4 = {n // 4}")
-    results: list[ClaimResult] = []
-    for cid, fn in selected.items():
-        if cid == "AC9":
-            results.extend(fn(n=n, window=window))
-        elif cid == "AC10":
-            results.extend(fn(n=n))
-        elif cid in ("AC8", "AC11"):
-            results.extend(fn())
-        else:
-            results.extend(fn(resolution=resolution))
-    return results
+    sizes = Sizes(n, window, resolution)
+    rows = [row for gid in groups for row in MANIFEST[gid]]
+    return [res for row in rows for res in row.criterion(row.cid, row.phi, sizes, *row.args)]

@@ -163,10 +163,12 @@ class TestVerify:
         assert claims["AC9.adjoint"]["floor_or_fill"] is not None
 
     def test_failing_claim_exits_1(self, tmp_path, monkeypatch, capsys):
-        def failing(**kwargs):
-            return [verify.ClaimResult("AC1", False, "forced failure", measured=1.0)]
+        def failing(cid, phi, sizes):
+            return [verify.ClaimResult(cid, False, "forced failure", measured=1.0)]
 
-        monkeypatch.setitem(verify.MANIFEST, "AC1", failing)
+        # the forced failure and one cheap passing group
+        manifest = {"AC1": (verify.Row("AC1", verify.PHI0, failing),), "AC2": verify.MANIFEST["AC2"]}
+        monkeypatch.setattr(verify, "MANIFEST", manifest)
         out = tmp_path / "verify.json"
         code = main([
             "verify", "--N", "128", "--window", "32",

@@ -250,6 +250,24 @@ class TestParabolicTranslation:
         assert abs(t.real) < 1e-12
         assert abs(t.imag - 1.0) < 1e-12
 
+    def test_conjugated_translations_are_parabolic(self):
+        # R(r) cay (w -> w + it) cay R(conj r) is a parabolic automorphism with
+        # translation it; rounding splits its double fixed point by about
+        # sqrt(eps)/|c|, which a test on the fixed points misreads.
+        cay = MoebiusMap(-1, 1, 1, 1)
+        for t in (0.02, 0.05, 0.1, 0.3):
+            for theta in np.linspace(0.0, 2 * np.pi, 32, endpoint=False):
+                r = np.exp(1j * theta)
+                m = (rotation(r).compose(cay).compose(MoebiusMap(1, 1j * t, 0, 1))
+                     .compose(cay).compose(rotation(r.conjugate())))
+                assert classify(m).automorphism_kind == "parabolic", (t, theta)
+                assert abs(parabolic_translation(m) - 1j * t) < 1e-12, (t, theta)
+
+    def test_identity_kind(self):
+        assert classify(identity_map()).automorphism_kind == "identity"
+        with pytest.raises(NotParabolicError, match="identity"):
+            parabolic_translation(identity_map())
+
     def test_not_parabolic(self, phi0):
         with pytest.raises(NotParabolicError):
             parabolic_translation(phi0)

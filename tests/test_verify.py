@@ -34,3 +34,10 @@ def test_fill_criterion_rejects_widened_intervals(name, expr, lo, hi):
         f"AC10.wide_{name}", expr, verify.PHI0, 1.1 * lo, 1.1 * hi, [128, 256, 512]
     )
     assert not res.passed
+
+
+@pytest.mark.parametrize("ids", [["AC12"], ["ac2"], ["AC2", "AC9.adjoint"]])
+def test_run_claims_rejects_unknown_ids(ids):
+    # ids name groups of MANIFEST; anything else is an error, not an empty run
+    with pytest.raises(ValueError, match=f"unknown claim ids \\['{ids[-1]}'\\]"):
+        verify.run_claims(ids)
