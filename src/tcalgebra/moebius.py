@@ -9,7 +9,9 @@ together with the positive scalar s = 1/|phi'(zeta)| that couples the two
 maps at the level of composition operators.
 """
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +25,7 @@ class DegenerateMapError(ValueError):
 
 
 class MapFormatError(ValueError):
-    """JSON map data that is not an object of four [re, im] pairs a, b, c, d."""
+    """Map data that is not four finite complex coefficients a, b, c, d."""
 
 
 class NotSelfMapError(ValueError):
@@ -86,6 +88,9 @@ class MoebiusMap:
     d: complex
 
     def __post_init__(self):
+        for key in ("a", "b", "c", "d"):
+            if not cmath.isfinite(getattr(self, key)):
+                raise MapFormatError(f"coefficient {key!r} is not finite: {getattr(self, key)!r}")
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         if scale == 0 or abs(self.det) <= 1e-14 * scale * scale:
             raise DegenerateMapError(f"ad - bc vanishes for {self.coeffs()}")
@@ -130,15 +135,20 @@ class MoebiusMap:
         )
 
     def iterate(self, n: int) -> "MoebiusMap":
-        """n-fold composition of the map with itself; n = 0 is the identity."""
+        """n-fold composition of the map with itself; n = 0 is the identity.
+
+        Each product is scaled by the power of two that brings its largest
+        coefficient into [1/2, 1), so that powers neither overflow nor
+        underflow; the scaling is exact, so the map is the unscaled product.
+        """
         if n < 0:
             raise ValueError("iterate needs n >= 0")
         result = identity_map()
         base = self
         while n:
             if n & 1:
-                result = result.compose(base)
-            base = base.compose(base)
+                result = _balanced(result.compose(base))
+            base = _balanced(base.compose(base))
             n >>= 1
         return result
 
@@ -186,9 +196,11 @@ class MoebiusMap:
             if not (
                 isinstance(pair, (list, tuple))
                 and len(pair) == 2
-                and all(isinstance(x, (int, float)) for x in pair)
+                and all(isinstance(x, (int, float)) and math.isfinite(x) for x in pair)
             ):
-                raise MapFormatError(f"key {key!r} must be a pair [re, im] of numbers, got {pair!r}")
+                raise MapFormatError(
+                    f"key {key!r} must be a pair [re, im] of finite numbers, got {pair!r}"
+                )
             vals[key] = complex(*pair)
         return MoebiusMap(**vals)
 
@@ -199,6 +211,12 @@ class MoebiusMap:
 
 def identity_map() -> MoebiusMap:
     return MoebiusMap(1, 0, 0, 1)
+
+
+def _balanced(m: MoebiusMap) -> MoebiusMap:
+    """m with every coefficient times the same power of two, the largest in [1/2, 1)."""
+    e = -math.frexp(max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)))[1]
+    return MoebiusMap(*(complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)) for x in m.coeffs()))
 
 
 def rotation(alpha: complex) -> MoebiusMap:

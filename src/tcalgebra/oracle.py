@@ -80,10 +80,7 @@ def toeplitz_matrix(w: TrigPolynomial, n: int) -> np.ndarray:
     """n x n Toeplitz compression with entry (i, j) = w-hat(i - j)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    band = np.zeros(2 * n - 1, dtype=complex)  # band[m + n - 1] = w-hat(m)
-    for freq, c in w.items():
-        if -n < freq < n:
-            band[freq + n - 1] = c
+    band = w.dense(1 - n, n - 1)  # band[m + n - 1] = w-hat(m)
     idx = np.arange(n)
     return band[idx[:, None] - idx[None, :] + n - 1]
 

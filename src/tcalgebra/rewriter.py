@@ -460,15 +460,16 @@ def _words(b: SymbolElement) -> list[tuple[str, int, complex]]:
     """
     words = []
     for slot, (parity, extra, *_) in _WORD_FORMS.items():
-        c = getattr(b, slot).c
-        if c[1 - parity :: 2].any():
+        hp = getattr(b, slot)
+        kept, other = (hp.q, hp.p) if parity else (hp.p, hp.q)
+        if other.any():
             part = "sqrt(t)" if parity == 0 else "polynomial"
             raise NotInGeneratorRingError(
                 f"{slot} has a {part} component; not a word in the generators"
             )
         words.extend(
             (slot, n, complex(x) * b.s ** (n + extra))
-            for n, x in enumerate(c[parity::2])
+            for n, x in enumerate(kept)
             if x != 0
         )
     return words

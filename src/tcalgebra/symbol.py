@@ -191,7 +191,7 @@ class SymbolElement:
         # The derivative at the contact point obeys phi'(zeta) = |phi'(zeta)| eta/zeta,
         # so its phase is recoverable from (s, zeta, eta).
         contact = ContactData(zeta=zeta, eta=eta, dphi=eta / (s * zeta), s=s)
-        w = TrigPolynomial({int(n): complex(re, im) for n, re, im in data["w"]})
+        w = TrigPolynomial({n: complex(re, im) for n, re, im in data["w"]})
         return SymbolElement(
             w, half(data["f"]), half(data["g"]), half(data["h"]), half(data["k"]), contact
         )

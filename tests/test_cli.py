@@ -126,6 +126,13 @@ class TestSpectrum:
             ])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_term_order_does_not_change_bytes(self, phi0_file, tmp_path):
+        # one quintuple, written with its Toeplitz terms in two orders
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out, w in zip(outs, ["1+2z+3z^2+(0,1)z^-1", "(0,1)z^-1+3z^2+2z+1"]):
+            assert main(["spectrum", "--map", phi0_file, "--expr", f"T{{{w}}} + C", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestNorm:
     def test_scalar_output(self, phi0_file, tmp_path, capsys):
@@ -211,6 +218,8 @@ def test_missing_map_file(capsys):
     ({"a": 5, "b": [1, 0], "c": [0, 0], "d": [2, 0]}, "'a'"),
     ({"a": [-1, 0], "b": [-1, 0], "d": [2, 0]}, "'c'"),
     ({"a": [-1, 0], "b": [-1], "c": [0, 0], "d": [2, 0]}, "'b'"),
+    ({"a": [math.nan, 0], "b": [-1, 0], "c": [0, 0], "d": [2, 0]}, "'a'"),
+    ({"a": [-1, 0], "b": [-1, 0], "c": [0, math.inf], "d": [2, 0]}, "'c'"),
 ])
 @pytest.mark.parametrize("command", [["analyze"], ["normalize", "--expr", "C"]])
 def test_malformed_map_file(tmp_path, capsys, content, key, command):

@@ -17,6 +17,7 @@ from tcalgebra import (
     parabolic_translation,
     rotation,
 )
+from tcalgebra.moebius import MapFormatError
 
 from conftest import pole_contact_map, psi_t, random_contact_map
 
@@ -28,6 +29,12 @@ CONTACT_FAMILIES = (random_contact_map, lambda rng: pole_contact_map(rng)[0])
 def test_degenerate_rejected():
     with pytest.raises(DegenerateMapError):
         MoebiusMap(1, 2, 2, 4)
+
+
+@pytest.mark.parametrize("coeffs, key", [((np.nan, 0, 0, 1), "'a'"), ((1, 0, 0, complex(0, np.inf)), "'d'")])
+def test_non_finite_rejected(coeffs, key):
+    with pytest.raises(MapFormatError, match=f"coefficient {key} is not finite"):
+        MoebiusMap(*coeffs)
 
 
 class TestCompose:
@@ -294,6 +301,21 @@ class TestIterate:
         tau = phi0.compose(sigma0)
         t2 = parabolic_translation(tau.iterate(2))
         assert abs(t2 - 4.0) < 1e-12
+
+    def test_high_powers_stay_finite(self, phi0, sigma0):
+        # unscaled products reach 1e79 at k = 256 and overflow before k = 1024
+        tau = phi0.compose(sigma0)
+        power = tau.iterate(1024)
+        assert max(abs(x) for x in power.coeffs()) < 1
+        assert abs(parabolic_translation(power) - 2048) < 1e-9
+
+    def test_powers_of_composites_are_balanced(self, rng):
+        # unscaled, some of these underflow and fail the ad - bc check by k = 256
+        for family in CONTACT_FAMILIES:
+            for _ in range(10):
+                m = family(rng)
+                power = m.compose(m.krein_adjoint).iterate(256)
+                assert 0.5 <= max(abs(x) for x in power.coeffs()) < 1
 
 
 class TestEquality:

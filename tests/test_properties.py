@@ -1,4 +1,4 @@
-"""Property tests for the interval ring and the symbol calculus.
+"""Property tests for the two function rings and the symbol calculus.
 
 Examples are derandomized and few, so the suite stays fast and repeatable.
 Elements live over contact data in closed form from a pole map with a
@@ -27,6 +27,11 @@ coefficient = st.builds(complex, real, real)
 # Exact zeros are common so trimming and empty parts get exercised.
 entries = st.lists(st.one_of(coefficient, st.just(0j)), max_size=4)
 halves = st.builds(lambda p, q: HalfPolynomial([0j] + p, q), entries, entries)
+trigs = st.builds(
+    lambda lo, cs: TrigPolynomial(dict(enumerate(cs, start=lo))),
+    st.integers(-3, 3),
+    st.lists(st.one_of(coefficient, st.just(0j)), max_size=5),
+)
 
 
 def _trimmed(xs) -> list:
@@ -48,6 +53,11 @@ def _majorant_matrix(b: SymbolElement, lam: LambdaPoint) -> np.ndarray:
         return w * np.eye(2)
     f, g, h, k = (_majorant(x, lam.value) for x in (b.f, b.g, b.h, b.k))
     return np.array([[w + g, h], [k, w + f]])
+
+
+def _trig_majorant(w: TrigPolynomial) -> float:
+    """sum |c_n|: bounds |w| on the circle and the rounding of its value."""
+    return sum(abs(c) for _, c in w.items())
 
 
 @st.composite
@@ -101,6 +111,40 @@ class TestHalfPolynomial:
         assert np.all(np.abs((a * b)(ts) - a(ts) * b(ts)) <= tol)
         assert np.all(np.abs((a + b)(ts) - (a(ts) + b(ts))) <= tol)
         assert np.array_equal(a.conj()(ts), np.conj(a(ts)))
+
+
+class TestTrigPolynomial:
+    @PROPERTY
+    @given(trigs, trigs)
+    def test_ring_operations_pointwise(self, v, w):
+        z = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 9))
+        tol = 1e-13 * (1 + _trig_majorant(v)) * (1 + _trig_majorant(w))
+        assert np.all(np.abs((v * w)(z) - v(z) * w(z)) <= tol)
+        assert np.all(np.abs((v + w)(z) - (v(z) + w(z))) <= tol)
+        assert np.all(np.abs((v - w)(z) - (v(z) - w(z))) <= tol)
+        assert np.all(np.abs(v.conj()(z) - np.conj(v(z))) <= tol)
+
+    @PROPERTY
+    @given(trigs, trigs)
+    def test_equals_exact_compares_canonical_coefficients(self, v, w):
+        assert v.equals_exact(w) == (v.items() == w.items())
+        u = v + w - w
+        assert u.equals_exact(v) == (u.items() == v.items())
+        padded = {**dict(v.items()), v.degree + 1: 0j, -v.degree - 1: 0j}
+        assert TrigPolynomial(padded).equals_exact(v)
+        assert TrigPolynomial(dict(reversed(v.items()))).equals_exact(v)
+        assert (TrigPolynomial.monomial(1) * v).equals_exact(v) == v.is_zero()
+
+    @PROPERTY
+    @given(st.data(), st.lists(st.tuples(st.integers(-4, 4), coefficient), unique_by=lambda x: x[0]))
+    def test_evaluation_ignores_construction_order(self, data, terms):
+        shuffled = data.draw(st.permutations(terms))
+        v = TrigPolynomial(dict(terms))
+        w = sum((TrigPolynomial.monomial(n, c) for n, c in shuffled), TrigPolynomial.zero())
+        z = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 7))
+        assert v.equals_exact(w)
+        assert np.array_equal(v(z), w(z))
+        assert v(z[1]) == w(z[1])
 
 
 class TestSymbolElement:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcalgebra import HalfPolynomial, TrigPolynomial
+from tcalgebra import HalfPolynomial, SymbolElement, TrigPolynomial, embed_toeplitz
 
 
 class TestTrigPolynomial:
@@ -38,6 +38,15 @@ class TestTrigPolynomial:
     def test_scalar(self):
         w = 2j * TrigPolynomial({1: 3.0})
         assert w.coefficient(1) == 6j
+
+    def test_fractional_frequency_rejected(self, contact0):
+        assert TrigPolynomial({2.0: 1}).equals_exact(TrigPolynomial.monomial(2))
+        with pytest.raises(ValueError, match="frequency 1.5 is not an integer"):
+            TrigPolynomial({1.5: 1})
+        data = embed_toeplitz(TrigPolynomial.monomial(1), contact0).to_json_dict()
+        data["w"] = [[1.5, 1, 0]]
+        with pytest.raises(ValueError, match="frequency 1.5 is not an integer"):
+            SymbolElement.from_json_dict(data)
 
 
 class TestHalfPolynomial:
