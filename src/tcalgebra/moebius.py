@@ -140,6 +140,10 @@ class MoebiusMap:
         Each product is scaled by the power of two that brings its largest
         coefficient into [1/2, 1), so that powers neither overflow nor
         underflow; the scaling is exact, so the map is the unscaled product.
+        The products still round: an n-th power carries about n units of
+        rounding per coefficient, while _trace_kind budgets 64.  So
+        parabolic_translation accepts iterates of parabolic maps up to
+        n = 64 and may reject higher ones as hyperbolic or elliptic.
         """
         if n < 0:
             raise ValueError("iterate needs n >= 0")
@@ -309,6 +313,9 @@ def parabolic_translation(m: MoebiusMap) -> complex:
     constancy is asserted at three sample points.  Re t >= 0 always, with
     Re t = 0 exactly for parabolic automorphisms.  The map is parabolic by
     the test of _trace_kind, and eta = (a-d)/(2c) is its double root.
+    That test allows 64 units of rounding per coefficient, so the k-th
+    iterate of a parabolic map (about k units) passes it up to k = 64;
+    beyond, it may be called hyperbolic or elliptic (MoebiusMap.iterate).
     """
     a, b, c, d = m.normalized().coeffs()
     kind = _trace_kind(a, b, c, d)

@@ -7,6 +7,9 @@ circle, the symbol w of the Toeplitz part.  HalfPolynomial (x = sqrt(t),
 lo = 0) is the ring { p(t) + sqrt(t) q(t) : p(0) = 0 } on [0, s]: the
 coset of the composition operator is u sqrt(x*x), so the generators bring
 in sqrt(t), and the slots f, g, h, k stay inside it under the algebra.
+HalfPolynomial.evaluate is its one evaluator: it takes several elements
+at once, computes only the nonzero ones (Horner in t, in place) and takes
+sqrt(t) once; calling one element goes through it.
 """
 
 import numpy as np
@@ -21,6 +24,15 @@ def _trim(lo: int, c: np.ndarray, start: bool) -> tuple[int, np.ndarray]:
     while start and first < end and vals[first] == 0:
         first += 1
     return (lo + first if end else 0), c[first:end]
+
+
+def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum coeffs[n] t^n by Horner's rule, in place on one new complex array."""
+    value = np.zeros(t.shape, dtype=complex)
+    for c in coeffs[::-1]:
+        value *= t
+        value += c
+    return value
 
 
 def _view(arr: np.ndarray) -> np.ndarray:
@@ -184,16 +196,39 @@ class HalfPolynomial(_CoefficientRing):
             raise ValueError("polynomial part starts at t^1")
         return cls([0] * n + [c])
 
-    def __call__(self, t):
-        # Horner in t on p and on q; a Horner scheme in sqrt(t) rounds differently.
+    @staticmethod
+    def evaluate(slots, t) -> list[np.ndarray]:
+        """Values of several elements at the points t of [0, s], in one pass.
+
+        Each value is p(t) + sqrt(t) q(t) with p and q by Horner's rule in t
+        (a Horner scheme in sqrt(t) rounds differently).  Only the nonzero
+        elements are computed: every zero element gets one shared +0 array,
+        and sqrt(t) is taken once.  A value with no q part gets + 0, as
+        p(t) + sqrt(t) * 0 would, so -0.0 parts come out as +0.0.
+        """
         t = np.asarray(t, dtype=float)
-        pv = np.zeros(t.shape, dtype=complex)
-        for c in self.p[::-1]:
-            pv = pv * t + c
-        qv = np.zeros(t.shape, dtype=complex)
-        for c in self.q[::-1]:
-            qv = qv * t + c
-        out = pv + np.sqrt(t) * qv
+        zero = r = None
+        out = []
+        for x in slots:
+            if not len(x.c):
+                zero = np.zeros(t.shape, dtype=complex) if zero is None else zero
+                out.append(zero)
+                continue
+            p, q = x.p, x.q
+            value = _horner(p, t) if len(p) else 0
+            if len(q):
+                r = np.sqrt(t) if r is None else r
+                qv = _horner(q, t)
+                qv *= r
+                qv += value
+                value = qv
+            else:
+                value += 0
+            out.append(value)
+        return out
+
+    def __call__(self, t):
+        out = self.evaluate((self,), t)[0]
         return complex(out) if out.ndim == 0 else out
 
     def conj(self) -> "HalfPolynomial":

@@ -20,6 +20,7 @@ essential norms and Fredholmness reduce to pointwise 2x2 linear algebra,
 which is what this module computes.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +51,17 @@ class LambdaPoint:
 
     @staticmethod
     def circle(lam: complex) -> "LambdaPoint":
-        if abs(abs(lam) - 1) > 1e-9:
-            raise ValueError("circle points must be unimodular")
-        return LambdaPoint("circle", complex(lam))
+        lam = complex(lam)
+        if not abs(abs(lam) - 1) <= 1e-9:  # also rejects nan and inf
+            raise ValueError(f"circle points must be unimodular, got {lam!r}")
+        return LambdaPoint("circle", lam)
 
     @staticmethod
     def interval(t: float) -> "LambdaPoint":
-        if t <= 0:
-            raise ValueError("interval points have 0 < t <= s")
-        return LambdaPoint("interval", float(t))
+        t = float(t)
+        if not 0 < t < np.inf:
+            raise ValueError(f"interval points have 0 < t <= s, got {t!r}")
+        return LambdaPoint("interval", t)
 
 
 TRIPLE_POINT = LambdaPoint("triple", None)
@@ -265,8 +268,12 @@ def _grids(b: SymbolElement, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     The unimodular grid contains zeta and eta exactly; the interval grid
     covers [0, s] including both endpoints.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    try:
+        valid = operator.index(resolution) >= 2
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"resolution must be an integer of at least 2, got {resolution!r}")
     theta = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
     pts = np.concatenate([np.exp(1j * theta), [b.contact.zeta, b.contact.eta]])
     order = np.argsort(np.angle(pts), kind="stable")
@@ -277,9 +284,11 @@ def _interval_values(b: SymbolElement, ts: np.ndarray) -> tuple:
     """w(zeta), w(eta) and f, g, h, k at the points ts of [0, s].
 
     They fill the interval matrices [[w(zeta) + g, h], [k, w(eta) + f]];
-    each formula below combines them in its own fixed order.
+    each formula below combines them in its own fixed order.  Zero slots
+    share one +0 array.
     """
-    return b.w(b.contact.zeta), b.w(b.contact.eta), b.f(ts), b.g(ts), b.h(ts), b.k(ts)
+    f, g, h, k = HalfPolynomial.evaluate((b.f, b.g, b.h, b.k), ts)
+    return b.w(b.contact.zeta), b.w(b.contact.eta), f, g, h, k
 
 
 def spectrum_branches(
@@ -391,21 +400,15 @@ def _refine(values_fn, x0: float, lo: float, hi: float, spacing: float, resoluti
     return float(vals[i]), x0, float(spacing), dbound
 
 
-def _refined_max(b: SymbolElement, resolution: int, sign: int, interval_fn) -> tuple:
-    """Sup of sign * |w| on the circle and of interval_fn on [0, s].
-
-    Each side takes its grid argmax, refines around it and keeps the larger
-    of the grid and refined values.  Returns one (value, at, spacing,
-    derivative bound) tuple per side, circle first, the circle's `at` an
-    angle in [0, 2 pi).
-    """
-    circle, ts = _grids(b, resolution)
-
-    circle_vals = sign * np.abs(b.w(circle))
-    ic = int(np.argmax(circle_vals))
-    angle = float(np.angle(circle[ic]) % (2 * np.pi))
+def _circle_max(b: SymbolElement, circle: np.ndarray, resolution: int, sign: int) -> tuple:
+    """Sup of sign * |w| on the circle: the grid argmax, refined around it,
+    keeping the larger of the grid and refined values.  Returns (value, at,
+    spacing, derivative bound), `at` an angle in [0, 2 pi)."""
+    vals = sign * np.abs(b.w(circle))
+    i = int(np.argmax(vals))
+    angle = float(np.angle(circle[i]) % (2 * np.pi))
     spacing = 2 * np.pi / resolution
-    cv, ca, cs, cd = _refine(
+    value, at, spacing, dbound = _refine(
         lambda th: sign * np.abs(b.w(np.exp(1j * th))),
         angle,
         angle - spacing,
@@ -413,20 +416,23 @@ def _refined_max(b: SymbolElement, resolution: int, sign: int, interval_fn) -> t
         spacing,
         resolution,
     )
+    return max(float(vals[i]), value), at % (2 * np.pi), spacing, dbound
 
-    interval_vals = interval_fn(ts)
-    it = int(np.argmax(interval_vals))
-    iv, ia, isp, idb = _refine(
-        interval_fn, float(ts[it]), 0.0, b.s, float(ts[1] - ts[0]), resolution
+
+def _interval_max(b: SymbolElement, ts: np.ndarray, resolution: int, interval_fn) -> tuple:
+    """Sup of interval_fn on [0, s], searched as _circle_max searches the circle."""
+    vals = interval_fn(ts)
+    i = int(np.argmax(vals))
+    value, at, spacing, dbound = _refine(
+        interval_fn, float(ts[i]), 0.0, b.s, float(ts[1] - ts[0]), resolution
     )
-    return (
-        (max(float(circle_vals[ic]), cv), ca % (2 * np.pi), cs, cd),
-        (max(float(interval_vals[it]), iv), ia, isp, idb),
-    )
+    return max(float(vals[i]), value), at, spacing, dbound
 
 
 def essential_norm_report(b: SymbolElement, resolution: int = 1000) -> NormReport:
-    circle, interval = _refined_max(b, resolution, 1, lambda ts: _interval_norms(b, ts))
+    circle, ts = _grids(b, resolution)
+    circle = _circle_max(b, circle, resolution, 1)
+    interval = _interval_max(b, ts, resolution, lambda ts: _interval_norms(b, ts))
     if circle[0] >= interval[0]:
         return NormReport(circle[0], "circle", *circle[1:])
     return NormReport(interval[0], "interval", *interval[1:])
@@ -440,9 +446,14 @@ def essential_norm(b: SymbolElement, resolution: int = 1000) -> float:
 def is_fredholm(b: SymbolElement, resolution: int = 1000) -> bool:
     """Invertibility of the symbol: w stays away from 0 on the circle and
     the interval matrices stay away from singularity (0 outside the
-    essential spectrum, up to the threshold)."""
-    circle, interval = _refined_max(b, resolution, -1, lambda ts: -_interval_dets(b, ts))
-    return -circle[0] > TOL.fredholm and -interval[0] > TOL.fredholm
+    essential spectrum, up to the threshold).  The interval side is
+    searched only if the circle side passes."""
+    circle, ts = _grids(b, resolution)
+    return (
+        -_circle_max(b, circle, resolution, -1)[0] > TOL.fredholm
+        and -_interval_max(b, ts, resolution, lambda ts: -_interval_dets(b, ts))[0]
+        > TOL.fredholm
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,17 @@ class TestIterate:
                 assert 0.5 <= max(abs(x) for x in power.coeffs()) < 1
 
 
+    def test_iterates_up_to_the_trace_budget_stay_parabolic(self, rng):
+        # _trace_kind budgets 64 units of rounding per coefficient, about what
+        # a 64th power carries, so k = 64 is the documented limit.
+        for family in CONTACT_FAMILIES:
+            for _ in range(10):
+                m = family(rng)
+                tau = m.compose(m.krein_adjoint)
+                t = 64 * parabolic_translation(tau)
+                assert abs(parabolic_translation(tau.iterate(64)) - t) < 1e-8 * abs(t)
+
+
 class TestEquality:
     def test_proportional_quadruples(self):
         assert MoebiusMap(1, 0, 0, 1).approx_equal(MoebiusMap(2, 0, 0, 2))

@@ -6,7 +6,7 @@ general s; the reference map -(1+z)/2 (s = 2) is covered elsewhere.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcalgebra import (
     TRIPLE_POINT,
@@ -27,6 +27,17 @@ coefficient = st.builds(complex, real, real)
 # Exact zeros are common so trimming and empty parts get exercised.
 entries = st.lists(st.one_of(coefficient, st.just(0j)), max_size=4)
 halves = st.builds(lambda p, q: HalfPolynomial([0j] + p, q), entries, entries)
+# Parts 0.0 and -0.0 are common too, in every slot shape: zero, p only, q only, both.
+signed_zero = st.sampled_from([0.0, -0.0])
+signed_coefficient = st.one_of(coefficient, st.builds(complex, signed_zero, signed_zero), st.builds(complex, real, signed_zero))
+signed_entries = st.lists(signed_coefficient, min_size=1, max_size=4)
+p_part = st.builds(lambda c, p: [c] + p, st.builds(complex, signed_zero, signed_zero), signed_entries)
+signed_halves = st.one_of(
+    st.just(HalfPolynomial()),
+    st.builds(HalfPolynomial, p_part),
+    st.builds(lambda q: HalfPolynomial((), q), signed_entries),
+    st.builds(HalfPolynomial, p_part, signed_entries),
+).flatmap(lambda hp: st.sampled_from([hp, -hp, hp * hp]))
 trigs = st.builds(
     lambda lo, cs: TrigPolynomial(dict(enumerate(cs, start=lo))),
     st.integers(-3, 3),
@@ -39,6 +50,20 @@ def _trimmed(xs) -> list:
     while xs and xs[-1] == 0:
         xs.pop()
     return xs
+
+
+def _per_slot_horner(hp: HalfPolynomial, t):
+    """Reference evaluation: Horner in t on p and on q of one element, then
+    p + sqrt(t) q, each step on a fresh array."""
+    t = np.asarray(t, dtype=float)
+    pv = np.zeros(t.shape, dtype=complex)
+    for c in hp.p[::-1]:
+        pv = pv * t + c
+    qv = np.zeros(t.shape, dtype=complex)
+    for c in hp.q[::-1]:
+        qv = qv * t + c
+    out = pv + np.sqrt(t) * qv
+    return complex(out) if out.ndim == 0 else out
 
 
 def _majorant(hp: HalfPolynomial, ts):
@@ -102,6 +127,21 @@ class TestHalfPolynomial:
         assert hp.q.tolist() == _trimmed(q)
         assert not hp.p.flags.writeable and not hp.q.flags.writeable
         assert HalfPolynomial(hp.p, hp.q).equals_exact(hp)
+
+    # At t = 0 the Horner sums of these are -0.0 (the first in p, the second in
+    # both p and sqrt(t) q), which p + sqrt(t) q turns into +0.0 only in the first.
+    @settings(PROPERTY, max_examples=150)
+    @example([HalfPolynomial([complex(-0.0, -0.0), -1])], 1.0, 2)
+    @example([HalfPolynomial([complex(-0.0, -0.0), -1], [-1]), HalfPolynomial()], 1.0, 2)
+    @given(st.lists(signed_halves, min_size=1, max_size=4), st.floats(0.1, 8.0), st.integers(2, 40))
+    def test_evaluate_matches_per_slot_horner_bitwise(self, slots, s, n):
+        ts = np.linspace(0.0, s, n)
+        for hp, value in zip(slots, HalfPolynomial.evaluate(slots, ts), strict=True):
+            want = _per_slot_horner(hp, ts).tobytes()
+            assert value.tobytes() == want
+            assert hp(ts).tobytes() == want
+            for t in (0.0, s):
+                assert np.complex128(hp(t)).tobytes() == np.complex128(_per_slot_horner(hp, t)).tobytes()
 
     @PROPERTY
     @given(halves, halves, st.floats(0.1, 8.0))

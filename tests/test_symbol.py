@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from tcalgebra import (
     spectrum_samples,
     zero_element,
 )
+from tcalgebra import symbol
 from tcalgebra.symbol import _norms_from_entries
+from tcalgebra.tolerances import TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -158,6 +161,16 @@ class TestPhiLambda:
         with pytest.raises(ValueError):
             LambdaPoint.interval(0.0)
 
+    @pytest.mark.parametrize("lam", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0)])
+    def test_non_finite_circle_point_rejected(self, lam):
+        with pytest.raises(ValueError, match=re.escape(f"got {lam!r}")):
+            LambdaPoint.circle(lam)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_interval_point_rejected(self, t):
+        with pytest.raises(ValueError, match=f"got {t!r}"):
+            LambdaPoint.interval(t)
+
     def test_homomorphism_random(self, contact0, rng):
         for _ in range(100):
             b1 = _random_element(rng, contact0)
@@ -230,6 +243,13 @@ class TestEssentialSpectrum:
     def test_resolution_validated(self, contact0):
         with pytest.raises(ValueError):
             essential_spectrum(identity_element(contact0), 1)
+
+    @pytest.mark.parametrize("sweep", [essential_spectrum, essential_norm_report, is_fredholm])
+    def test_non_integer_resolution_rejected(self, contact0, sweep):
+        b = identity_element(contact0)
+        with pytest.raises(ValueError, match=r"resolution must be an integer of at least 2, got 1000\.0"):
+            sweep(b, 1000.0)
+        assert len(essential_spectrum(b, np.int64(5))) == 3 * 5 + 2
 
 
 class TestEssentialNorm:
@@ -309,6 +329,38 @@ class TestFredholm:
             HalfPolynomial.zero(), HalfPolynomial.zero(), contact0,
         )
         assert not is_fredholm(b)
+
+    @staticmethod
+    def _two_sided(b, resolution):
+        """Fredholm test with both sides searched, as essential_norm_report searches them."""
+        circle, ts = symbol._grids(b, resolution)
+        dets = symbol._interval_max(b, ts, resolution, lambda ts: -symbol._interval_dets(b, ts))
+        return (
+            -symbol._circle_max(b, circle, resolution, -1)[0] > TOL.fredholm
+            and -dets[0] > TOL.fredholm
+        )
+
+    def test_matches_two_sided_search(self, contact0, rng):
+        answers = set()
+        for _ in range(20):
+            x = _random_element(rng, contact0)
+            no_w = SymbolElement(TrigPolynomial.zero(), x.f, x.g, x.h, x.k, contact0)
+            for b in (x, no_w, x + 4.0 * identity_element(contact0)):
+                want = self._two_sided(b, 301)
+                assert is_fredholm(b, 301) == want
+                answers.add(want)
+        assert answers == {True, False}
+
+    def test_failing_circle_skips_interval(self, contact0, rng, monkeypatch):
+        def unreachable(b, ts):
+            raise AssertionError("interval side evaluated")
+
+        monkeypatch.setattr(symbol, "_interval_dets", unreachable)
+        x = _random_element(rng, contact0)
+        assert not is_fredholm(SymbolElement(TrigPolynomial.zero(), x.f, x.g, x.h, x.k, contact0))
+        assert not is_fredholm(embed_cphi(contact0), 50000)
+        with pytest.raises(AssertionError, match="interval side evaluated"):
+            is_fredholm(identity_element(contact0))
 
 
 class TestCenter:
