@@ -317,7 +317,6 @@ class TestIterate:
                 power = m.compose(m.krein_adjoint).iterate(256)
                 assert 0.5 <= max(abs(x) for x in power.coeffs()) < 1
 
-
     def test_iterates_up_to_the_trace_budget_stay_parabolic(self, rng):
         # _trace_kind budgets 64 units of rounding per coefficient, about what
         # a 64th power carries, so k = 64 is the documented limit.

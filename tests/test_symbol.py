@@ -161,7 +161,9 @@ class TestPhiLambda:
         with pytest.raises(ValueError):
             LambdaPoint.interval(0.0)
 
-    @pytest.mark.parametrize("lam", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0)])
+    @pytest.mark.parametrize(
+        "lam", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0)]
+    )
     def test_non_finite_circle_point_rejected(self, lam):
         with pytest.raises(ValueError, match=re.escape(f"got {lam!r}")):
             LambdaPoint.circle(lam)
@@ -247,7 +249,8 @@ class TestEssentialSpectrum:
     @pytest.mark.parametrize("sweep", [essential_spectrum, essential_norm_report, is_fredholm])
     def test_non_integer_resolution_rejected(self, contact0, sweep):
         b = identity_element(contact0)
-        with pytest.raises(ValueError, match=r"resolution must be an integer of at least 2, got 1000\.0"):
+        message = r"resolution must be an integer of at least 2, got 1000\.0"
+        with pytest.raises(ValueError, match=message):
             sweep(b, 1000.0)
         assert len(essential_spectrum(b, np.int64(5))) == 3 * 5 + 2
 
